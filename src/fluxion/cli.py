@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 import tempfile
@@ -87,14 +88,19 @@ def _parse_value(key: str, raw: str, spec) -> tuple[object, str | None]:
     try:
         if spec.kind == "int":
             return int(raw), None
-        if spec.kind == "float":
-            return float(raw), None
         if spec.kind == "int-list":
             return tuple(int(v) for v in raw.split(",") if v.strip() != ""), None
-        if spec.kind == "float-list":
-            return tuple(float(v) for v in raw.split(",") if v.strip() != ""), None
+        if spec.kind == "float":
+            value = float(raw)
+        elif spec.kind == "float-list":
+            value = tuple(float(v) for v in raw.split(",") if v.strip() != "")
     except ValueError:
         return None, f"{key} must be a {spec.kind}, got {raw!r}"
+    if spec.kind in ("float", "float-list"):
+        floats = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in floats):
+            return None, f"{key} must be finite, got {raw!r}"
+        return value, None
     if spec.kind == "choice":
         if raw not in spec.choices:
             return None, f"{key} must be one of {', '.join(spec.choices)}; got {raw!r}"

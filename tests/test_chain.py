@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxion.chain import (
     CouplingProfile,
     DisorderSpec,
+    TransferResult,
     TruncationError,
     amplitude_curve,
     disorder_ensemble,
@@ -61,6 +64,52 @@ def test_amplitude_curve_matches_pointwise():
     curve = amplitude_curve(prof, ts)
     for i, t in enumerate(ts):
         assert curve[i] == pytest.approx(transfer_amplitude(prof, float(t)))
+
+
+@st.composite
+def chains(draw):
+    """Profiles with negative, weak and exactly zero couplings, both parities.
+
+    Zero edge couplings (eta = 0) isolate the end sites and make the zero
+    eigenvalue degenerate.  A weak link between two blocks splits their zero
+    modes into a nearly degenerate +-lam pair, which eigh may return in any
+    rotated basis.
+    """
+    n = draw(st.integers(2, 40))
+    coupling = st.one_of(
+        st.just(0.0),
+        st.floats(-2.0, 2.0, allow_subnormal=False),
+        st.floats(-1e-6, 1e-6, allow_subnormal=False),
+    )
+    couplings = draw(st.lists(coupling, min_size=n - 1, max_size=n - 1))
+    if draw(st.booleans()):
+        couplings[0] = couplings[-1] = 0.0
+    return CouplingProfile(n, np.array(couplings))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chains(), st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5))
+def test_mode_sums_match_full_eigh(prof, times):
+    """The half-spectrum sums equal exp(-iMt) from a dense eigh of M."""
+    n = prof.n_qubits
+    hopping = np.diag(prof.couplings, 1) + np.diag(prof.couplings, -1)
+    w, V = np.linalg.eigh(hopping)
+    ts = np.array(times)
+    column = np.einsum("ik,tk,k->ti", V, np.exp(-1j * np.outer(ts, w)), V[-1])
+    curve = amplitude_curve(prof, ts)
+    assert curve.dtype == complex
+    assert np.abs(curve - column[:, 0]).max() <= 1e-10
+    if n % 2:
+        assert np.all(curve.imag == 0)
+    else:
+        assert np.all(curve.real == 0)
+    for k, t in enumerate(times):
+        f = transfer_amplitude(prof, t)
+        assert abs(f - column[k, 0]) <= 1e-10
+        assert (f.imag if n % 2 else f.real) == 0
+        raw = column[k, ::-1]
+        expected = np.where(np.arange(1, n + 1) % 2 == 1, raw.real, -raw.imag)
+        assert np.abs(propagator_coefficients(prof, t) - expected).max() <= 1e-10
 
 
 def test_mirror_symmetry():
@@ -123,6 +172,8 @@ def test_flux_components_layout():
     )
     with pytest.raises(ValueError):
         flux_components(1.2 + 0j, 1)
+    with pytest.raises(ValueError):
+        flux_components(complex(np.nan, 0.0), 1)
 
 
 def test_transfer_result_invariants():
@@ -131,6 +182,12 @@ def test_transfer_result_invariants():
     assert res.worst_case_fidelity == pytest.approx(abs(res.amplitude) ** 2)
     assert res.flux.target_qubit == 4
     assert res.time == 3.0
+    with pytest.raises(ValueError):
+        TransferResult(complex(np.nan, 0.0), res.flux, np.nan, 3.0)
+    with pytest.raises(ValueError):
+        TransferResult(res.amplitude, res.flux, np.nan, 3.0)
+    with pytest.raises(AssertionError), np.errstate(invalid="ignore"):
+        transfer_amplitude(prof, np.inf)  # sin(inf) is NaN
 
 
 def test_chain_flux_matches_dense_engine():

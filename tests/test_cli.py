@@ -69,6 +69,9 @@ def test_validate_collects_diagnostics():
     assert any("target_qubit" in d for d in diags)
     diags = validate(RunConfig("table1", {"stray": "1"}))
     assert any("stray" in d for d in diags)
+    diags = validate(RunConfig("universality-scan", {"lambdas": "0, inf", "J": "nan"}))
+    assert any("lambdas must be finite" in d for d in diags)
+    assert any("J must be finite" in d for d in diags)
     assert validate(RunConfig("table1", {}, seed=-1))
     assert validate(RunConfig("table1", {}, seed=2**64))
 
@@ -187,6 +190,32 @@ def test_main_exit_codes(tmp_path, capsys):
     code = main(["series-check", "--config", runtime, "--out", str(tmp_path / "rt")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param", ["Jt = inf", "eta = nan"])
+def test_main_rejects_non_finite_floats(tmp_path, capsys, param):
+    config = write_config(tmp_path, f"[run]\nexperiment = transfer-single\n\n[params]\n{param}\n")
+    out = tmp_path / "out"
+    code = main(["transfer-single", "--config", config, "--out", str(out)])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_disorder_csvs_independent_of_threads(tmp_path):
+    config = write_config(
+        tmp_path,
+        "[run]\nexperiment = transfer-disorder\nseed = 42\n\n"
+        "[params]\nn_qubits = 6\ntrials = 24\nt_max = 6.0\nt_step = 0.5\n",
+    )
+    data = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        argv = ["transfer-disorder", "--config", config, "--out", str(out), "--threads", threads]
+        assert main(argv) == 0
+        data[threads] = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix != ".meta"}
+    assert any(name.endswith(".csv") for name in data["1"])
+    assert data["1"] == data["2"]
 
 
 def test_run_writes_no_timestamp_in_data(tmp_path):

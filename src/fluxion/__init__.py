@@ -57,7 +57,7 @@ from .lindblad import (
     expectation_trajectory,
     open_flux_tomography,
 )
-from .pauli import PauliObservable, PauliString, chi_vector, expectation
+from .pauli import PauliObservable, PauliString, expectation
 from .states import (
     BlochVector,
     RegisterState,

@@ -20,7 +20,7 @@ import mpmath
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .flux import FluxMatrix, transfer_fidelity  # noqa: F401  (re-export)
+from .flux import FluxMatrix
 
 AMPLITUDE_TOL = 1e-9
 TIE_TOL = 3e-4  # surface values within this of the max compete for argmax

@@ -14,7 +14,7 @@ from scipy.optimize import least_squares, minimize
 
 from .flux import FluxMatrix
 from .pauli import PHASES, PauliObservable, PauliString, qubit_mask
-from .states import RegisterState
+from .states import RegisterState, embed
 
 GATE_NAMES = ("CNOT", "H", "S", "X", "Y", "Z")
 
@@ -237,11 +237,7 @@ def _gate_unitary(gate: Gate, n: int) -> np.ndarray:
         "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
         "Z": np.array([[1, 0], [0, -1]], dtype=complex),
     }
-    q = gate.qubits[0]
-    U = np.eye(1, dtype=complex)
-    for pos in range(1, n + 1):
-        U = np.kron(U, mats[gate.name] if pos == q else np.eye(2, dtype=complex))
-    return U
+    return embed(mats[gate.name], gate.qubits[0], n)
 
 
 # --- preparation-state optimization ---------------------------------------

@@ -16,6 +16,7 @@ from .chain import CouplingProfile
 from .flux import FluxMatrix, cloning_fidelity, solve_affine
 from .pauli import PauliString
 from .states import (
+    DENSE_QUBIT_CAP,
     TOMOGRAPHY_INPUTS,
     BlochVector,
     RegisterState,
@@ -23,8 +24,6 @@ from .states import (
     insert_qubit,
     psi_plus_state,
 )
-
-DENSE_QUBIT_CAP = 12
 
 
 @dataclass(frozen=True)

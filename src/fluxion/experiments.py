@@ -336,6 +336,12 @@ def cross_checks(experiment: str, p: dict) -> list[str]:
             )
         elif p["n_qubits"] != 3:
             out.append("n_qubits must be 3: the cloner chain has one input and two output sites")
+    if experiment in ("uqcm-chain", "universality-scan"):
+        # the Jt grid becomes times t = Jt / J
+        if p["J"] == 0:
+            out.append("J must be nonzero: times are Jt / J")
+        elif not np.isfinite(p["t_max"] / p["J"]):
+            out.append(f"J={p['J']!r} is too small: t_max / J is not finite")
     if experiment == "open-flux":
         if p["n_qubits"] > lindblad.OPEN_QUBIT_CAP:
             out.append(

@@ -34,7 +34,7 @@ class FluxMatrix:
         arr = np.asarray(self.entries, dtype=float)
         if arr.shape != (3, 4):
             raise ValueError("flux entries must be a 3x4 array")
-        if np.abs(arr).max() > 1.0 + ENTRY_BOUND_TOL:
+        if not (np.abs(arr).max() <= 1.0 + ENTRY_BOUND_TOL):
             raise ValueError(f"flux entry out of [-1, 1]: max |entry| = {np.abs(arr).max()}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -87,7 +87,7 @@ def solve_affine(outputs: dict[str, np.ndarray], target_qubit: int, time_label) 
     if rank < 4:
         raise AssertionError("tomography system unexpectedly rank-deficient")
     residual = np.abs(A @ sol - B).max()
-    if residual > AFFINE_RESIDUAL_TOL:
+    if not (residual <= AFFINE_RESIDUAL_TOL):
         raise AssertionError(f"affine tomography residual {residual:.2e} exceeds tolerance")
     entries = sol.T  # rows: target letters; columns: X, Y, Z, I
     return FluxMatrix(target_qubit, time_label, entries)

@@ -2,8 +2,9 @@
 
 Standard-form Lindblad generator with per-qubit amplitude damping (optionally
 thermal) and pure dephasing.  Density matrices are integrated directly with
-adaptive high-order stepping; an explicit superoperator builder is kept as a
-cross-check oracle.
+adaptive high-order stepping; `_master_equation` builds the one right-hand
+side both integrations use, from the pieces `_generator_pieces` returns.  The
+dense superoperator is kept as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy.integrate import solve_ivp
 from .dense import SpinHamiltonian
 from .flux import FluxMatrix, solve_affine
 from .pauli import PauliObservable, PauliString
-from .states import TOMOGRAPHY_INPUTS, BlochVector, RegisterState, insert_qubit
+from .states import TOMOGRAPHY_INPUTS, BlochVector, RegisterState, embed, insert_qubit
 
 OPEN_QUBIT_CAP = 8
 TRACE_TOL = 1e-9
@@ -40,11 +41,12 @@ class DensityMatrix:
         dim = 1 << self.n_qubits
         if arr.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix")
-        if abs(np.trace(arr).real - 1.0) > TRACE_TOL or abs(np.trace(arr).imag) > TRACE_TOL:
-            raise ValueError(f"trace {np.trace(arr)} is not 1")
-        if np.abs(arr - arr.conj().T).max() > HERMITICITY_TOL:
+        trace = np.trace(arr)
+        if not (abs(trace.real - 1.0) <= TRACE_TOL and abs(trace.imag) <= TRACE_TOL):
+            raise ValueError(f"trace {trace} is not 1")
+        if not (np.abs(arr - arr.conj().T).max() <= HERMITICITY_TOL):
             raise ValueError("matrix is not Hermitian")
-        if np.linalg.eigvalsh(arr).min() < -POSITIVITY_TOL:
+        if not (np.linalg.eigvalsh(arr).min() >= -POSITIVITY_TOL):
             raise ValueError("matrix has a significantly negative eigenvalue")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -74,13 +76,6 @@ def reduced_qubit(rho: DensityMatrix, qubit: int) -> np.ndarray:
     return np.einsum("aibajb->ij", r)
 
 
-def bloch_of_qubit(rho: DensityMatrix, qubit: int) -> BlochVector:
-    r = reduced_qubit(rho, qubit)
-    return BlochVector(
-        float(2 * r[0, 1].real), float(-2 * r[0, 1].imag), float((r[0, 0] - r[1, 1]).real)
-    )
-
-
 @dataclass(frozen=True)
 class LindbladSpec:
     """Per-qubit rates; damping relaxes toward the ground state.
@@ -96,18 +91,18 @@ class LindbladSpec:
     hamiltonian: SpinHamiltonian | None = None
 
     def __post_init__(self):
-        if self.damping_rate < 0 or self.dephasing_rate < 0 or self.n_bar < 0:
+        if not (self.damping_rate >= 0 and self.dephasing_rate >= 0 and self.n_bar >= 0):
             raise ValueError("rates and occupation must be >= 0")
 
     def jump_operators(self, n_qubits: int) -> list[np.ndarray]:
         ops = []
         for q in range(1, n_qubits + 1):
             if self.damping_rate > 0:
-                ops.append(np.sqrt(self.damping_rate * (self.n_bar + 1)) * _embed(_SIGMA_MINUS, q, n_qubits))
+                ops.append(np.sqrt(self.damping_rate * (self.n_bar + 1)) * embed(_SIGMA_MINUS, q, n_qubits))
                 if self.n_bar > 0:
-                    ops.append(np.sqrt(self.damping_rate * self.n_bar) * _embed(_SIGMA_PLUS, q, n_qubits))
+                    ops.append(np.sqrt(self.damping_rate * self.n_bar) * embed(_SIGMA_PLUS, q, n_qubits))
             if self.dephasing_rate > 0:
-                ops.append(np.sqrt(self.dephasing_rate) * _embed(_SIGMA_Z, q, n_qubits))
+                ops.append(np.sqrt(self.dephasing_rate) * embed(_SIGMA_Z, q, n_qubits))
         return ops
 
     def hamiltonian_matrix(self, n_qubits: int) -> np.ndarray:
@@ -119,13 +114,6 @@ class LindbladSpec:
         return self.hamiltonian.to_matrix()
 
 
-def _embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for pos in range(1, n + 1):
-        out = np.kron(out, op if pos == qubit else np.eye(2, dtype=complex))
-    return out
-
-
 def _generator_pieces(spec: LindbladSpec, n: int):
     H = spec.hamiltonian_matrix(n)
     jumps = spec.jump_operators(n)
@@ -133,12 +121,8 @@ def _generator_pieces(spec: LindbladSpec, n: int):
     return H, jumps, anticomm
 
 
-def evolve_density(rho0: DensityMatrix, spec: LindbladSpec, t: float) -> DensityMatrix:
-    n = rho0.n_qubits
-    if n > OPEN_QUBIT_CAP:
-        raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
-    if t == 0:
-        return rho0
+def _master_equation(spec: LindbladSpec, n: int):
+    """d rho / dt on the row-major flattened density matrix, for solve_ivp."""
     H, jumps, anticomm = _generator_pieces(spec, n)
     dim = 1 << n
 
@@ -149,8 +133,18 @@ def evolve_density(rho0: DensityMatrix, spec: LindbladSpec, t: float) -> Density
             out += L @ rho @ L.conj().T
         return out.ravel()
 
+    return rhs
+
+
+def evolve_density(rho0: DensityMatrix, spec: LindbladSpec, t: float) -> DensityMatrix:
+    n = rho0.n_qubits
+    if n > OPEN_QUBIT_CAP:
+        raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
+    if t == 0:
+        return rho0
+    dim = 1 << n
     sol = solve_ivp(
-        rhs,
+        _master_equation(spec, n),
         (0.0, float(t)),
         rho0.entries.ravel().astype(complex),
         method="DOP853",
@@ -183,7 +177,7 @@ def open_flux_tomography(
     for key, amps in TOMOGRAPHY_INPUTS.items():
         full = insert_qubit(register, amps, input_qubit)
         rho = evolve_density(DensityMatrix.from_state(full), spec, t)
-        outputs[key] = bloch_of_qubit(rho, target_qubit).as_array()
+        outputs[key] = BlochVector.of_reduced(reduced_qubit(rho, target_qubit)).as_array()
     return solve_affine(outputs, target_qubit, t)
 
 
@@ -202,29 +196,19 @@ def expectation_trajectory(
     n = rho0.n_qubits
     if n > OPEN_QUBIT_CAP:
         raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
-    H, jumps, anticomm = _generator_pieces(spec, n)
-    dim = 1 << n
     M = obs.to_matrix()
-
-    def rhs(_, y):
-        rho = y.reshape(dim, dim)
-        out = -1j * (H @ rho - rho @ H) - 0.5 * (anticomm @ rho + rho @ anticomm)
-        for L in jumps:
-            out += L @ rho @ L.conj().T
-        return out.ravel()
-
-    start, end = 0.0, float(t_grid[-1])
-    eval_grid = t_grid
+    end = float(t_grid[-1])
     if end == 0.0:
         return np.full(t_grid.size, float(np.trace(M @ rho0.entries).real))
+    dim = 1 << n
     sol = solve_ivp(
-        rhs,
-        (start, end),
+        _master_equation(spec, n),
+        (0.0, end),
         rho0.entries.ravel().astype(complex),
         method="DOP853",
         rtol=RTOL,
         atol=ATOL,
-        t_eval=eval_grid,
+        t_eval=t_grid,
     )
     if not sol.success:
         raise RuntimeError(f"density-matrix integration failed: {sol.message}")

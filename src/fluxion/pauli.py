@@ -5,6 +5,10 @@ significant bit, so qubit j of an n-qubit system owns mask bit (n - j).
 A string is stored as the Hermitian word  i^{|x & z|} X^x Z^z  times an
 explicit phase in {1, i, -1, -i}; a qubit with both mask bits set carries
 Y = i X Z.  Phase +-1 therefore means the operator is Hermitian.
+
+Every word is a signed permutation matrix.  `_signed_permutation` is the one
+index/sign kernel: both `apply` methods gather through it, and both
+`to_matrix` methods scatter its entries into a dense matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +30,24 @@ def qubit_mask(n_qubits: int, qubit: int) -> int:
     if not 1 <= qubit <= n_qubits:
         raise ValueError(f"qubit {qubit} out of range 1..{n_qubits}")
     return 1 << (n_qubits - qubit)
+
+
+def _signed_permutation(n_qubits: int, x_mask: int, z_mask: int, coefficient: complex):
+    """Column index and value of each row of coefficient * i^{|x & z|} X^x Z^z."""
+    idx = np.arange(1 << n_qubits) ^ x_mask
+    signs = 1 - 2 * (np.bitwise_count(idx & z_mask).astype(np.int64) & 1)
+    return idx, (coefficient * PHASES[(x_mask & z_mask).bit_count() % 4]) * signs
+
+
+def _terms_matrix(n_qubits: int, terms) -> np.ndarray:
+    """Dense sum of (x_mask, z_mask, coefficient) words, added in the given order."""
+    dim = 1 << n_qubits
+    rows = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    for x_mask, z_mask, coefficient in terms:
+        idx, vals = _signed_permutation(n_qubits, x_mask, z_mask, coefficient)
+        out[rows, idx] += vals
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,22 +135,13 @@ class PauliString:
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """Apply to a dense state vector (length 2^n)."""
-        dim = 1 << self.n_qubits
-        if amplitudes.shape != (dim,):
+        if amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError("state dimension mismatch")
-        idx = np.arange(dim) ^ self.x_mask
-        signs = 1 - 2 * (np.bitwise_count(idx & self.z_mask).astype(np.int64) & 1)
-        scale = self.phase * PHASES[(self.x_mask & self.z_mask).bit_count() % 4]
-        return scale * signs * amplitudes[idx]
+        idx, vals = _signed_permutation(self.n_qubits, self.x_mask, self.z_mask, self.phase)
+        return vals * amplitudes[idx]
 
     def to_matrix(self) -> np.ndarray:
-        dim = 1 << self.n_qubits
-        out = np.empty((dim, dim), dtype=complex)
-        for col in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[col] = 1.0
-            out[:, col] = self.apply(e)
-        return out
+        return _terms_matrix(self.n_qubits, [(self.x_mask, self.z_mask, self.phase)])
 
 
 @dataclass(slots=True)
@@ -143,15 +156,6 @@ class PauliObservable:
     n_qubits: int
     terms: dict[tuple[int, int], complex] = field(default_factory=dict)
 
-    @classmethod
-    def from_strings(cls, strings: list[PauliString]) -> "PauliObservable":
-        if not strings:
-            raise ValueError("need at least one string")
-        obs = cls(strings[0].n_qubits)
-        for s in strings:
-            obs.add_string(s)
-        return obs
-
     def add_string(self, s: PauliString, coefficient: complex = 1.0) -> None:
         if s.n_qubits != self.n_qubits:
             raise ValueError("qubit count mismatch")
@@ -160,37 +164,18 @@ class PauliObservable:
         if abs(self.terms[key]) < PRUNE_TOL:
             del self.terms[key]
 
-    def copy(self) -> "PauliObservable":
-        return PauliObservable(self.n_qubits, dict(self.terms))
-
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         dim = 1 << self.n_qubits
         if amplitudes.shape != (dim,):
             raise ValueError("state dimension mismatch")
         out = np.zeros(dim, dtype=complex)
-        idx_base = np.arange(dim)
         for (x, z), coeff in self.terms.items():
-            idx = idx_base ^ x
-            signs = 1 - 2 * (np.bitwise_count(idx & z).astype(np.int64) & 1)
-            out += (coeff * PHASES[(x & z).bit_count() % 4]) * signs * amplitudes[idx]
+            idx, vals = _signed_permutation(self.n_qubits, x, z, coeff)
+            out += vals * amplitudes[idx]
         return out
 
     def to_matrix(self) -> np.ndarray:
-        dim = 1 << self.n_qubits
-        out = np.empty((dim, dim), dtype=complex)
-        for col in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[col] = 1.0
-            out[:, col] = self.apply(e)
-        return out
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    return a.multiply(b)
-
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    return a.commutes(b)
+        return _terms_matrix(self.n_qubits, ((x, z, c) for (x, z), c in self.terms.items()))
 
 
 def expectation(obs: PauliObservable | PauliString, state) -> complex:
@@ -200,38 +185,7 @@ def expectation(obs: PauliObservable | PauliString, state) -> complex:
     if amps.shape != (1 << n,):
         raise ValueError("qubit count mismatch between observable and state")
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > 1e-10:
+    if not (abs(norm - 1.0) <= 1e-10):
         raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.2e}")
     return complex(np.vdot(amps, obs.apply(amps)))
 
-
-CHI_CAP = 8  # register qubits; 4^8 basis strings
-
-# canonical digit order for the chi basis
-CHI_LETTERS = "IXYZ"
-
-
-def chi_vector(register_state) -> np.ndarray:
-    """Expectations of every register-basis Pauli word over the register state.
-
-    Entry k expands k in base 4 with the register's first qubit as the most
-    significant digit and digits (I, X, Y, Z) = (0, 1, 2, 3).
-    """
-    m = register_state.n_qubits
-    if m > CHI_CAP:
-        raise ValueError(f"register has {m} qubits; chi_vector cap is {CHI_CAP}")
-    amps = register_state.amplitudes
-    out = np.empty(4 ** m, dtype=complex)
-    for k in range(4 ** m):
-        x = z = 0
-        rest = k
-        for q in range(m, 0, -1):
-            digit = rest % 4
-            rest //= 4
-            bx, bz = _LETTER_BITS[CHI_LETTERS[digit]]
-            mask = 1 << (m - q)
-            x |= mask * bx
-            z |= mask * bz
-        s = PauliString(m, x, z)
-        out[k] = np.vdot(amps, s.apply(amps))
-    return out

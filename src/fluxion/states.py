@@ -1,7 +1,9 @@
 """Register states: dense vectors, named preparations, Bloch extraction.
 
 Qubit 1 is the most significant bit of the amplitude index; this is the one
-ordering constant of the package and is not configurable.
+ordering constant of the package and is not configurable.  `embed` is the one
+embedding of a single-qubit operator into a register, and
+`BlochVector.of_reduced` the one 2x2 -> Bloch formula.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DENSE_CAP = 14
+# largest register a dense state vector or Hamiltonian may span
+DENSE_QUBIT_CAP = 12
 
 NORM_TOL = 1e-10
 
@@ -23,7 +26,7 @@ class BlochVector:
 
     def __post_init__(self):
         r2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if r2 > 1.0 + 1e-10:
+        if not (r2 <= 1.0 + 1e-10):
             raise ValueError(f"Bloch vector norm^2 = {r2} exceeds 1")
 
     def as_array(self) -> np.ndarray:
@@ -35,10 +38,19 @@ class BlochVector:
         return cls(float(r[0]), float(r[1]), float(r[2]))
 
     @classmethod
+    def of_reduced(cls, rho: np.ndarray) -> "BlochVector":
+        """Bloch vector of a 2x2 (reduced) density matrix."""
+        return cls(
+            float(2 * rho[0, 1].real),
+            float(-2 * rho[0, 1].imag),
+            float((rho[0, 0] - rho[1, 1]).real),
+        )
+
+    @classmethod
     def of_state(cls, c0: complex, c1: complex) -> "BlochVector":
         """Bloch vector of the pure qubit state c0|0> + c1|1>."""
-        rho01 = c0 * np.conj(c1)
-        return cls(2 * rho01.real, -2 * rho01.imag, abs(c0) ** 2 - abs(c1) ** 2)
+        c = np.array([c0, c1], dtype=complex)
+        return cls.of_reduced(np.outer(c, c.conj()))
 
 
 @dataclass(frozen=True)
@@ -49,24 +61,16 @@ class RegisterState:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n_qubits < 0 or self.n_qubits > DENSE_CAP:
-            raise ValueError(f"n_qubits must be in 0..{DENSE_CAP}")
+        if not 0 <= self.n_qubits <= DENSE_QUBIT_CAP:
+            raise ValueError(f"n_qubits must be in 0..{DENSE_QUBIT_CAP}")
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError("amplitude count does not match qubit count")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not (abs(norm - 1.0) <= NORM_TOL):
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.2e}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_amplitudes(cls, amplitudes) -> "RegisterState":
-        amps = np.asarray(amplitudes, dtype=complex)
-        n = int(np.log2(amps.size))
-        if 1 << n != amps.size:
-            raise ValueError("amplitude count must be a power of two")
-        return cls(n, amps)
 
     @classmethod
     def computational(cls, n_qubits: int, bits: int = 0) -> "RegisterState":
@@ -87,7 +91,7 @@ def product_state(input_amplitudes, register: RegisterState) -> RegisterState:
 def insert_qubit(register: RegisterState, input_amplitudes, position: int) -> RegisterState:
     """Insert a single qubit at 1-based `position` among the register's qubits."""
     c = np.asarray(input_amplitudes, dtype=complex).reshape(2)
-    if abs(np.linalg.norm(c) - 1.0) > NORM_TOL:
+    if not (abs(np.linalg.norm(c) - 1.0) <= NORM_TOL):
         raise ValueError("input qubit amplitudes not normalized")
     n = register.n_qubits + 1
     if not 1 <= position <= n:
@@ -121,12 +125,15 @@ def reduced_qubit(state: RegisterState, qubit: int) -> np.ndarray:
 
 
 def bloch_of_qubit(state: RegisterState, qubit: int) -> BlochVector:
-    rho = reduced_qubit(state, qubit)
-    return BlochVector(
-        float(2 * rho[0, 1].real),
-        float(-2 * rho[0, 1].imag),
-        float((rho[0, 0] - rho[1, 1]).real),
-    )
+    return BlochVector.of_reduced(reduced_qubit(state, qubit))
+
+
+def embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """The 2x2 operator op acting on 1-based `qubit` of n, identity elsewhere."""
+    out = np.eye(1, dtype=complex)
+    for pos in range(1, n + 1):
+        out = np.kron(out, op if pos == qubit else np.eye(2, dtype=complex))
+    return out
 
 
 # the four tomography inputs: |0>, |1>, |+>, |+i>

@@ -72,6 +72,12 @@ def test_validate_collects_diagnostics():
     diags = validate(RunConfig("universality-scan", {"lambdas": "0, inf", "J": "nan"}))
     assert any("lambdas must be finite" in d for d in diags)
     assert any("J must be finite" in d for d in diags)
+    for experiment in ("uqcm-chain", "universality-scan"):
+        diags = validate(RunConfig(experiment, {"J": "0"}))
+        assert any("J must be nonzero" in d for d in diags)
+        diags = validate(RunConfig(experiment, {"J": "1e-320"}))
+        assert any("t_max / J is not finite" in d for d in diags)
+        assert validate(RunConfig(experiment, {"J": "1e-320", "t_max": "0"})) == []
     assert validate(RunConfig("table1", {}, seed=-1))
     assert validate(RunConfig("table1", {}, seed=2**64))
 
@@ -180,6 +186,16 @@ def test_main_exit_codes(tmp_path, capsys):
     code = main(["transfer-single", "--config", good, "--threads", "0"])
     assert code == 2
     capsys.readouterr()
+
+    # a J the Jt grid cannot be converted with is a config error, not a crash or NaN rows
+    for experiment, J in (("uqcm-chain", "0"), ("universality-scan", "1e-320")):
+        tiny = write_config(
+            tmp_path, f"[run]\nexperiment = {experiment}\n\n[params]\nJ = {J}\n", name="j.ini"
+        )
+        out = tmp_path / f"j-{experiment}"
+        assert main([experiment, "--config", tiny, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     # valid config whose run overflows the series truncation at runtime
     runtime = write_config(

@@ -169,3 +169,6 @@ def test_cross_engine_circuit_tomography():
 def test_dense_cap():
     with pytest.raises(ValueError):
         SpinHamiltonian.heisenberg_chain(13, 1.0, 1.0)
+    # one cap for dense Hamiltonians and dense register states
+    with pytest.raises(ValueError):
+        RegisterState.computational(13, 0)

@@ -28,6 +28,8 @@ def test_shape_and_bound_validation():
     bad[0, 0] = 1.5
     with pytest.raises(ValueError):
         FluxMatrix(1, 0.0, bad)
+    with pytest.raises(ValueError):
+        FluxMatrix(1, 0.0, np.full((3, 4), np.nan))
 
 
 def test_entries_read_only():
@@ -83,5 +85,8 @@ def test_solve_affine_rejects_inconsistent_data():
         "+": np.array([5.0, 0.0, 0.0]),  # non-physical: breaks the affine fit bound
         "+i": np.array([0.0, 1.0, 0.3]),
     }
+    with pytest.raises((AssertionError, ValueError)):
+        solve_affine(outputs, 1, 0.0)
+    outputs["+"] = np.array([np.nan, 0.0, 0.0])
     with pytest.raises((AssertionError, ValueError)):
         solve_affine(outputs, 1, 0.0)

@@ -7,7 +7,6 @@ from fluxion.dense import SpinHamiltonian, flux_tomography, propagator
 from fluxion.lindblad import (
     DensityMatrix,
     LindbladSpec,
-    bloch_of_qubit,
     evolve_density,
     expectation_trajectory,
     open_flux_tomography,
@@ -15,7 +14,7 @@ from fluxion.lindblad import (
     superoperator,
 )
 from fluxion.pauli import PauliString
-from fluxion.states import RegisterState, insert_qubit, psi_plus_state
+from fluxion.states import BlochVector, RegisterState, insert_qubit, psi_plus_state
 
 
 def plus_density():
@@ -29,6 +28,10 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))  # not Hermitian
     with pytest.raises(ValueError):
         DensityMatrix(1, np.array([[1.4, 0], [0, -0.4]], dtype=complex))  # negative eigenvalue
+    with pytest.raises(ValueError):
+        DensityMatrix(1, np.array([[np.nan, 0], [0, 1.0]], dtype=complex))  # NaN trace
+    with pytest.raises(ValueError):
+        DensityMatrix(1, np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex))  # NaN coherence
     rho = DensityMatrix.from_state(psi_plus_state())
     assert rho.purity() == pytest.approx(1.0)
     assert np.abs(reduced_qubit(rho, 1) - np.eye(2) / 2).max() < 1e-12
@@ -41,6 +44,8 @@ def test_spec_validation():
         LindbladSpec(0.1, -0.2)
     with pytest.raises(ValueError):
         LindbladSpec(0.1, 0.2, n_bar=-1.0)
+    with pytest.raises(ValueError):
+        LindbladSpec(np.nan, 0.0)  # would silently drop every damping jump
     spec = LindbladSpec(0.0, 0.0)
     assert spec.jump_operators(1) == []
 
@@ -66,7 +71,7 @@ def test_thermal_steady_state():
     nbar = 0.7
     spec = LindbladSpec(1.5, 0.0, n_bar=nbar)
     rho = evolve_density(DensityMatrix.from_state(RegisterState.computational(1, 0)), spec, 40.0)
-    z = bloch_of_qubit(rho, 1).as_array()[2]
+    z = BlochVector.of_reduced(reduced_qubit(rho, 1)).z
     assert z == pytest.approx(1 / (2 * nbar + 1), abs=1e-8)
     # thermal occupation adds an upward jump, accelerating coherence decay
     ts = np.linspace(0.0, 4.0, 15)

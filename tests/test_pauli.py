@@ -3,15 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxion.pauli import (
-    PauliObservable,
-    PauliString,
-    chi_vector,
-    commutes,
-    expectation,
-    multiply,
-    qubit_mask,
-)
+from fluxion.pauli import PauliObservable, PauliString, expectation, qubit_mask
 from fluxion.states import RegisterState
 
 I2 = np.eye(2, dtype=complex)
@@ -64,9 +56,36 @@ def test_single_qubit_matrices():
         assert np.allclose(s.to_matrix(), mat)
 
 
-def test_word_matrix_matches_kron():
-    s = PauliString.from_label(3, "X1Y2Z3")
-    assert np.allclose(s.to_matrix(), kron_word("XYZ"))
+def letters_of(s):
+    return [s.letter(q) for q in range(1, s.n_qubits + 1)]
+
+
+# oracle for the shared index/sign kernel: Kronecker products of 2x2 matrices
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4).flatmap(strings))
+def test_word_matrix_matches_kron(s):
+    assert np.array_equal(s.to_matrix(), s.phase * kron_word(letters_of(s)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(strings(n), st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)),
+            min_size=1,
+            max_size=6,
+            unique_by=lambda term: (term[0].x_mask, term[0].z_mask),
+        )
+    )
+)
+def test_observable_matrix_matches_kron_sum(terms):
+    n = terms[0][0].n_qubits
+    obs = PauliObservable(n)
+    expected = np.zeros((1 << n, 1 << n), dtype=complex)
+    for s, coeff in terms:
+        obs.add_string(s, coeff)
+        expected += coeff * s.phase * kron_word(letters_of(s))
+    assert np.abs(obs.to_matrix() - expected).max() <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)
@@ -79,7 +98,7 @@ def test_multiply_matches_matrix_product(a, b):
 @given(strings(3), strings(3))
 def test_commutes_matches_matrices(a, b):
     comm = a.to_matrix() @ b.to_matrix() - b.to_matrix() @ a.to_matrix()
-    assert commutes(a, b) == bool(np.abs(comm).max() < 1e-12)
+    assert a.commutes(b) == bool(np.abs(comm).max() < 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,6 +150,8 @@ def test_expectation_requires_normalization():
     s = PauliString.from_label(1, "Z1")
     with pytest.raises(ValueError):
         expectation(s, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        expectation(s, np.array([np.nan, 0.0]))
     state = RegisterState.computational(1, 1)
     assert expectation(s, state) == pytest.approx(-1.0)
 
@@ -149,42 +170,3 @@ def test_expectation_matches_quadratic_form():
         )
     direct = np.vdot(v, obs.to_matrix() @ v)
     assert expectation(obs, state) == pytest.approx(direct, abs=1e-12)
-
-
-def test_chi_vector_product_state():
-    """chi of |0>|+> is the outer pattern of single-qubit expectations."""
-    state = RegisterState(2, np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2))
-    chi = chi_vector(state)
-    # digits: qubit 1 of the register is the most significant base-4 digit
-    single_0 = {"I": 1.0, "X": 0.0, "Y": 0.0, "Z": 1.0}
-    single_p = {"I": 1.0, "X": 1.0, "Y": 0.0, "Z": 0.0}
-    letters = "IXYZ"
-    for k in range(16):
-        a, b = letters[k // 4], letters[k % 4]
-        assert chi[k] == pytest.approx(single_0[a] * single_p[b], abs=1e-12)
-
-
-def test_chi_identity_entry_is_one():
-    rng = np.random.default_rng(9)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    v /= np.linalg.norm(v)
-    chi = chi_vector(RegisterState(3, v))
-    assert chi[0] == pytest.approx(1.0)
-    assert chi.shape == (64,)
-
-
-def test_chi_empty_register():
-    assert np.allclose(chi_vector(RegisterState.empty()), [1.0])
-
-
-def test_chi_cap():
-    with pytest.raises(ValueError):
-        chi_vector(RegisterState.computational(9, 0))
-
-
-def test_multiply_module_alias():
-    a = PauliString.from_label(2, "X1")
-    b = PauliString.from_label(2, "Z1")
-    prod = multiply(a, b)
-    # XZ = -iY
-    assert prod.label() == "-iY1" or (prod.phase == -1j and prod.letter(1) == "Y")

@@ -25,11 +25,17 @@ def test_bloch_of_named_states():
 def test_bloch_rejects_overlong_vector():
     with pytest.raises(ValueError):
         BlochVector(0.8, 0.8, 0.8)
+    with pytest.raises(ValueError):
+        BlochVector(np.nan, 0.0, 0.0)
 
 
 def test_register_norm_check():
     with pytest.raises(ValueError):
         RegisterState(1, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        RegisterState(1, np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError):
+        insert_qubit(RegisterState.empty(), np.array([np.nan, 0.0]), 1)
 
 
 def test_register_amplitudes_read_only():

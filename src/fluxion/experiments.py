@@ -16,6 +16,8 @@ from . import chain, clifford, dense, lindblad
 from .flux import cloning_fidelity
 from .states import BlochVector, RegisterState, psi_plus_state, uqcm_preparation_state
 
+MAX_ARRAY_ELEMENTS = 2 * 10**7  # largest array a config may ask for (320 MB of complex)
+
 FLUX_COLUMNS = tuple(
     f"I_{row}{col}" for row in "XYZ" for col in "XYZI"
 )
@@ -49,6 +51,29 @@ def _grid(params: dict, prefix: str) -> np.ndarray:
     hi = params[f"{prefix}_max"]
     step = params[f"{prefix}_step"]
     return np.round(np.arange(lo, hi + 1e-9, step), 10)
+
+
+def _grid_points(params: dict, prefix: str) -> float:
+    """Length of `_grid(params, prefix)` without building it (inf if huge)."""
+    span = params[f"{prefix}_max"] + 1e-9 - params[f"{prefix}_min"]
+    return float(np.ceil(span / params[f"{prefix}_step"]))
+
+
+def _array_sizes(experiment: str, p: dict) -> dict[str, float]:
+    """Element counts of the largest arrays a valid config would allocate."""
+    grids = {prefix: _grid_points(p, prefix) for prefix in ("t", "eta") if f"{prefix}_min" in p}
+    sizes = {f"the {prefix} grid": points for prefix, points in grids.items()}
+    if experiment == "perfect-transfer":
+        sizes["the chain eigenvectors (n^2)"] = float(max(p["n_list"], default=0)) ** 2
+    elif experiment in ("transfer-single", "transfer-sweep", "transfer-disorder", "series-check"):
+        sizes["the chain eigenvectors (n_qubits^2)"] = float(p["n_qubits"]) ** 2
+    if experiment in ("transfer-sweep", "transfer-disorder"):
+        sizes["the mode sums (t points x n_qubits)"] = grids["t"] * p["n_qubits"]
+    if experiment == "transfer-sweep":
+        sizes["the sweep surface (eta points x t points)"] = grids["eta"] * grids["t"]
+    if experiment == "transfer-disorder":
+        sizes["the disorder surface (trials x t points)"] = p["trials"] * grids["t"]
+    return sizes
 
 
 def _flux_row(fm) -> tuple:
@@ -329,6 +354,13 @@ def cross_checks(experiment: str, p: dict) -> list[str]:
                 out.append(f"{prefix}_step must be positive")
             if p[f"{prefix}_max"] < p[f"{prefix}_min"]:
                 out.append(f"{prefix}_max must be >= {prefix}_min")
+    if not out:
+        sizes = _array_sizes(experiment, p)
+        largest = max(sizes, key=sizes.get, default=None)
+        if largest is not None and not sizes[largest] <= MAX_ARRAY_ELEMENTS:
+            out.append(
+                f"{largest} would have {sizes[largest]:.3g} elements, more than {MAX_ARRAY_ELEMENTS:.0e}"
+            )
     if experiment == "uqcm-chain":
         if p["n_qubits"] > dense.DENSE_QUBIT_CAP:
             out.append(

@@ -2,9 +2,11 @@
 
 Standard-form Lindblad generator with per-qubit amplitude damping (optionally
 thermal) and pure dephasing.  Density matrices are integrated directly with
-adaptive high-order stepping; `_master_equation` builds the one right-hand
-side both integrations use, from the pieces `_generator_pieces` returns.  The
-dense superoperator is kept as a cross-check oracle.
+adaptive high-order stepping.  `_master_equation` assembles the generator,
+from the pieces `_generator_pieces` returns, once per spec and qubit count as
+one sparse CSR matrix on the row-major vec(rho), caches it on the spec, and
+hands every integration the same right-hand side: one sparse product.  The
+dense `np.kron` superoperator is kept as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .dense import SpinHamiltonian
@@ -121,17 +124,37 @@ def _generator_pieces(spec: LindbladSpec, n: int):
     return H, jumps, anticomm
 
 
-def _master_equation(spec: LindbladSpec, n: int):
-    """d rho / dt on the row-major flattened density matrix, for solve_ivp."""
+def _sparse_generator(spec: LindbladSpec, n: int) -> sparse.csr_array:
+    """-i(H x I - I x H^T) + sum_L L x L* - (K x I + I x K^T)/2, K = sum_L L^dag L."""
     H, jumps, anticomm = _generator_pieces(spec, n)
-    dim = 1 << n
+    eye = np.eye(1 << n)
+    factors = [(-1j * H, eye), (eye, 1j * H.T), (-0.5 * anticomm, eye), (eye, -0.5 * anticomm.T)]
+    factors += [(L, L.conj()) for L in jumps]
+    blocks = [sparse.kron(sparse.coo_array(A), sparse.coo_array(B), format="coo") for A, B in factors]
+    # duplicate (row, col) entries are summed when the triplets are converted
+    data = np.concatenate([b.data for b in blocks])
+    rows = np.concatenate([b.row for b in blocks])
+    cols = np.concatenate([b.col for b in blocks])
+    size = 1 << 2 * n
+    return sparse.csr_array((data, (rows, cols)), shape=(size, size))
+
+
+def _master_equation(spec: LindbladSpec, n: int):
+    """d rho / dt on the row-major flattened density matrix, for solve_ivp.
+
+    The sparse generator is built on the first call for each n and stored on
+    the frozen spec, so every later integration with that spec reuses it.
+    """
+    generators = getattr(spec, "_generators", None)
+    if generators is None:
+        generators = {}
+        object.__setattr__(spec, "_generators", generators)
+    S = generators.get(n)
+    if S is None:
+        S = generators[n] = _sparse_generator(spec, n)
 
     def rhs(_, y):
-        rho = y.reshape(dim, dim)
-        out = -1j * (H @ rho - rho @ H) - 0.5 * (anticomm @ rho + rho @ anticomm)
-        for L in jumps:
-            out += L @ rho @ L.conj().T
-        return out.ravel()
+        return S @ y
 
     return rhs
 

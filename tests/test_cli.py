@@ -208,6 +208,32 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment, param, array",
+    [
+        ("transfer-sweep", "t_step = 1e-12", "mode sums"),  # numpy asked for 437 TiB
+        ("transfer-single", "n_qubits = 100000000", "chain eigenvectors"),  # 71.1 PiB
+        ("transfer-sweep", "eta_step = 1e-6", "sweep surface"),
+        ("transfer-disorder", "trials = 1000000", "disorder surface"),
+    ],
+)
+def test_main_rejects_oversized_arrays(tmp_path, capsys, experiment, param, array):
+    config = write_config(tmp_path, f"[run]\nexperiment = {experiment}\n\n[params]\n{param}\n")
+    out = tmp_path / "out"
+    assert main([experiment, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and array in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_array_limit_boundary():
+    # 4472^2 = 19,998,784 elements is allowed; 4473^2 = 20,007,729 is not
+    assert validate(RunConfig("transfer-single", {"n_qubits": "4472"})) == []
+    diags = validate(RunConfig("transfer-single", {"n_qubits": "4473"}))
+    assert len(diags) == 1 and "chain eigenvectors" in diags[0]
+    assert validate(RunConfig("perfect-transfer", {"n_list": "4, 4473"}))
+
+
 @pytest.mark.parametrize("param", ["Jt = inf", "eta = nan"])
 def test_main_rejects_non_finite_floats(tmp_path, capsys, param):
     config = write_config(tmp_path, f"[run]\nexperiment = transfer-single\n\n[params]\n{param}\n")

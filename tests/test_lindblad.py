@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fluxion.chain import CouplingProfile
+import fluxion.lindblad as lindblad
+from fluxion.chain import CouplingProfile, flux_components, transfer_amplitude
 from fluxion.dense import SpinHamiltonian, flux_tomography, propagator
 from fluxion.lindblad import (
     DensityMatrix,
@@ -189,3 +192,66 @@ def test_open_cap():
         evolve_density(big, spec, 0.5)
     with pytest.raises(ValueError):
         expectation_trajectory(spec, PauliString(9, 0, 0), big, np.array([0.0, 1.0]))
+
+
+rates = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+
+
+@st.composite
+def open_specs(draw):
+    """(spec, n): random rates and no, an XY or a Heisenberg chain Hamiltonian."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["none", "xy", "heisenberg"] if n > 1 else ["none"]))
+    if kind == "xy":
+        couplings = draw(st.lists(st.floats(-2.0, 2.0), min_size=n - 1, max_size=n - 1))
+        h = SpinHamiltonian.xy_chain(CouplingProfile(n, np.array(couplings)))
+    elif kind == "heisenberg":
+        h = SpinHamiltonian.heisenberg_chain(n, draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    else:
+        h = None
+    return LindbladSpec(draw(rates), draw(rates), draw(rates), h), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(open_specs(), st.integers(0, 2**32 - 1))
+def test_sparse_generator_matches_superoperator(case, seed):
+    spec, n = case
+    dim = 1 << n
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    vec = (a + a.conj().T).ravel()
+    rhs = lindblad._master_equation(spec, n)
+    assert np.abs(rhs(0.0, vec) - superoperator(spec, n) @ vec).max() < 1e-12
+
+
+def test_generator_built_once_per_spec(monkeypatch):
+    builds = []
+    original = lindblad._generator_pieces
+
+    def counted(spec, n):
+        builds.append(n)
+        return original(spec, n)
+
+    monkeypatch.setattr(lindblad, "_generator_pieces", counted)
+    h = SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(3, 1.0, 0.8))
+    spec = LindbladSpec(0.2, 0.05, 0.1, h)
+    register = RegisterState.computational(2, 0)
+    open_flux_tomography(spec, 0.6, 1, register, 3)
+    open_flux_tomography(spec, 1.5, 1, register, 3)
+    evolve_density(DensityMatrix.from_state(RegisterState.computational(3, 4)), spec, 0.9)
+    assert builds == [3]
+
+
+@pytest.mark.parametrize("t", [0.7, 2.9])
+def test_zero_temperature_damping_closed_form(t):
+    """Uniform T=0 damping multiplies the chain amplitude by exp(-gamma t / 2).
+
+    With every register qubit in |0>, the no-jump part -i gamma/2 N commutes
+    with the excitation-conserving H, and a jump only returns the vacuum.
+    """
+    gam = 0.3
+    profile = CouplingProfile.uniform_eta(6, 1.0, 0.7)
+    spec = LindbladSpec(gam, 0.0, 0.0, SpinHamiltonian.xy_chain(profile))
+    fm = open_flux_tomography(spec, t, 1, RegisterState.computational(5, 0), 6)
+    expected = flux_components(transfer_amplitude(profile, t) * np.exp(-gam * t / 2), 6, t)
+    assert np.abs(fm.entries - expected.entries).max() < 1e-9

@@ -1,9 +1,16 @@
 """Full Hilbert-space dynamics for spin-chain Hamiltonians.
 
-Small registers only: the Hamiltonian is diagonalized densely, evolution is
-exact, and flux matrices come from four-input state tomography of the target
-qubit.  This is both a production path for few-qubit chains and the oracle
-the large-N single-excitation engine is checked against.
+Small registers only.  The Hamiltonian is assembled sparse from the
+signed-permutation entries of its Pauli terms.  When no entry couples basis
+states of different excitation number (popcount), as for every chain that
+commutes with total Z, it is diagonalized block by block, one block per
+excitation-number sector; otherwise as one block.  Evolution is exact and
+runs sector by sector, skipping the sectors a state does not touch.  The flux
+is read directly from the two evolved basis kets U|reg,0> and U|reg,1> of the
+input qubit, with no propagator formed; four-input tomography
+(`flux.solve_affine`) is kept as the test oracle.  This is both a production
+path for few-qubit chains and the oracle the large-N single-excitation engine
+is checked against.
 """
 
 from __future__ import annotations
@@ -11,16 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .chain import CouplingProfile
-from .flux import FluxMatrix, cloning_fidelity, solve_affine
-from .pauli import PauliString
+from .flux import FluxMatrix, cloning_fidelity, flux_readout
+from .pauli import PauliString, _signed_permutation
 from .states import (
     DENSE_QUBIT_CAP,
-    TOMOGRAPHY_INPUTS,
     BlochVector,
     RegisterState,
-    bloch_of_qubit,
     insert_qubit,
     psi_plus_state,
 )
@@ -38,6 +44,8 @@ class SpinHamiltonian:
         for coupling, s in self.terms:
             if s.n_qubits != self.n_qubits:
                 raise ValueError("term qubit count mismatch")
+            if not np.isfinite(complex(coupling)):
+                raise ValueError(f"couplings must be finite, got {coupling}")
             if abs(complex(coupling).imag) > 0:
                 raise ValueError("couplings must be real")
 
@@ -61,33 +69,93 @@ class SpinHamiltonian:
             terms.append((coupling, PauliString.from_label(n, f"Y{i}Y{i + 1}")))
         return cls(n, tuple(terms))
 
-    def to_matrix(self) -> np.ndarray:
+    def _sparse(self) -> sparse.coo_array:
+        """H as COO: every term's signed-permutation entries, duplicates summed.
+
+        Summing before anything reads the pattern matters: XX and YY each
+        couple |00> and |11>, and only their sum cancels those entries.
+        """
         dim = 1 << self.n_qubits
-        H = np.zeros((dim, dim), dtype=complex)
+        cols = [np.empty(0, dtype=np.int64)]
+        vals = [np.empty(0, dtype=complex)]
         for coupling, s in self.terms:
-            H += coupling * s.to_matrix()
+            idx, v = _signed_permutation(self.n_qubits, s.x_mask, s.z_mask, coupling * s.phase)
+            cols.append(idx)
+            vals.append(v)
+        rows = np.tile(np.arange(dim), len(self.terms))
+        H = sparse.coo_array((np.concatenate(vals), (rows, np.concatenate(cols))), shape=(dim, dim))
+        H.sum_duplicates()
+        H.eliminate_zeros()
         return H
 
-    def _eigensystem(self):
+    def to_matrix(self) -> np.ndarray:
+        return self._sparse().toarray()
+
+    def _eigensystem(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(basis indices, eigenvalues, eigenvectors) of every diagonal block.
+
+        The blocks are the popcount (excitation-number) sectors when no
+        nonzero entry of H couples different popcounts, else the whole space
+        as one block.  A block with no imaginary entry is diagonalized as real.
+        """
         cached = getattr(self, "_eig", None)
         if cached is None:
-            H = self.to_matrix()
-            if np.abs(H - H.conj().T).max() > 1e-12:
-                raise AssertionError("Hamiltonian is not Hermitian")
-            cached = np.linalg.eigh(H)
+            H = self._sparse()
+            sector = np.bitwise_count(np.arange(1 << self.n_qubits))
+            if not np.array_equal(sector[H.row], sector[H.col]):
+                sector = np.zeros_like(sector)
+            entry_sector = sector[H.row]
+            blocks = []
+            for k in range(int(sector.max()) + 1):
+                idx = np.flatnonzero(sector == k)
+                sel = entry_sector == k
+                B = np.zeros((idx.size, idx.size), dtype=complex)
+                B[np.searchsorted(idx, H.row[sel]), np.searchsorted(idx, H.col[sel])] = H.data[sel]
+                if not (np.abs(B - B.conj().T).max() <= 1e-12):
+                    raise AssertionError("Hamiltonian is not Hermitian")
+                blocks.append((idx, *np.linalg.eigh(B if B.imag.any() else B.real)))
+            cached = tuple(blocks)
             object.__setattr__(self, "_eig", cached)
         return cached
 
 
+def _propagate(h: SpinHamiltonian, t: float, amplitudes: np.ndarray) -> np.ndarray:
+    """exp(-iHt) applied sector by sector, skipping sectors the vector has no weight in."""
+    out = np.zeros(amplitudes.shape, dtype=complex)
+    for idx, w, V in h._eigensystem():
+        part = amplitudes[idx]
+        if part.any():
+            out[idx] = V @ (np.exp(-1j * w * t) * (V.conj().T @ part))
+    return out
+
+
 def propagator(h: SpinHamiltonian, t: float) -> np.ndarray:
-    w, V = h._eigensystem()
-    return (V * np.exp(-1j * w * t)) @ V.conj().T
+    """The full unitary exp(-iHt), assembled block by block."""
+    dim = 1 << h.n_qubits
+    U = np.zeros((dim, dim), dtype=complex)
+    for idx, w, V in h._eigensystem():
+        U[np.ix_(idx, idx)] = (V * np.exp(-1j * w * t)) @ V.conj().T
+    return U
 
 
 def evolve(h: SpinHamiltonian, state: RegisterState, t: float) -> RegisterState:
     if state.n_qubits != h.n_qubits:
         raise ValueError("state and Hamiltonian qubit counts differ")
-    return RegisterState(state.n_qubits, propagator(h, t) @ state.amplitudes)
+    return RegisterState(state.n_qubits, _propagate(h, t, state.amplitudes))
+
+
+def _input_kets(register: RegisterState, input_qubit: int) -> list[np.ndarray]:
+    """|reg,0> and |reg,1>, the input qubit inserted at `input_qubit`."""
+    return [insert_qubit(register, amps, input_qubit).amplitudes for amps in np.eye(2)]
+
+
+def _ket_readout(kets, n: int, target_qubit: int, time_label) -> FluxMatrix:
+    """FluxMatrix from the two evolved input kets: R_ab = Tr_rest |psi_a><psi_b|."""
+    if not 1 <= target_qubit <= n:
+        raise ValueError(f"target qubit {target_qubit} out of range 1..{n}")
+    psi = np.stack(kets).reshape(2, 1 << (target_qubit - 1), 2, 1 << (n - target_qubit))
+    R = np.einsum("xaib,yajb->xyij", psi, psi.conj())
+    return flux_readout(R[0, 0], R[1, 1], R[0, 1], target_qubit, time_label)
 
 
 def unitary_flux_tomography(
@@ -97,16 +165,12 @@ def unitary_flux_tomography(
     target_qubit: int,
     time_label: float | str = "",
 ) -> FluxMatrix:
-    """FluxMatrix of an arbitrary unitary by four-input Bloch tomography."""
+    """FluxMatrix of an arbitrary unitary, read from U|reg,0> and U|reg,1>."""
     n = register.n_qubits + 1
     if U.shape != (1 << n, 1 << n):
         raise ValueError("unitary dimension does not match register plus input")
-    outputs = {}
-    for key, amps in TOMOGRAPHY_INPUTS.items():
-        full = insert_qubit(register, amps, input_qubit)
-        out = RegisterState(n, U @ full.amplitudes)
-        outputs[key] = bloch_of_qubit(out, target_qubit).as_array()
-    return solve_affine(outputs, target_qubit, time_label)
+    kets = [U @ ket for ket in _input_kets(register, input_qubit)]
+    return _ket_readout(kets, n, target_qubit, time_label)
 
 
 def flux_tomography(
@@ -116,7 +180,12 @@ def flux_tomography(
     register: RegisterState,
     target_qubit: int,
 ) -> FluxMatrix:
-    return unitary_flux_tomography(propagator(h, t), input_qubit, register, target_qubit, t)
+    """FluxMatrix of exp(-iHt), read from the two input kets evolved sector by sector."""
+    n = register.n_qubits + 1
+    if n != h.n_qubits:
+        raise ValueError("register plus input does not match the Hamiltonian's qubit count")
+    kets = [_propagate(h, t, ket) for ket in _input_kets(register, input_qubit)]
+    return _ket_readout(kets, n, target_qubit, t)
 
 
 def uqcm_chain_fidelity(J: float, t: float) -> float:

@@ -4,6 +4,12 @@ A FluxMatrix collects, for one target qubit at one time, the coefficients
 through which the input qubit's X, Y, Z (and identity) components feed the
 target's X, Y, Z expectations: r_out = M r_in + c.  The identity column c
 carries input-independent (affine) contributions.
+
+The dense and open engines read M and c directly, with `flux_readout`, from
+the target's reduced blocks of the evolved input units |0><0|, |1><1| and
+|0><1|; the map is linear in the input's density matrix, so those units fix
+it.  `solve_affine`, the four-input least-squares tomography over
+`TOMOGRAPHY_INPUTS`, is kept as the oracle the read-out is tested against.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import TOMOGRAPHY_INPUTS, BlochVector
+from .states import TOMOGRAPHY_INPUTS, BlochVector, bloch_components
 
 ROW_LETTERS = "XYZ"
 COL_LETTERS = "XYZI"
@@ -66,6 +72,22 @@ def cloning_fidelity(flux: FluxMatrix, input_bloch: BlochVector) -> float:
 
 
 transfer_fidelity = cloning_fidelity
+
+
+def flux_readout(r00, r11, r01, target_qubit: int, time_label) -> FluxMatrix:
+    """FluxMatrix from the target's reduced blocks of the evolved input units.
+
+    R_ab is the target's 2x2 block of the evolved |a><b| input unit and
+    b(R) = (Tr XR, Tr YR, Tr ZR) its `bloch_components`.  With
+    rho_in = (I + x X + y Y + z Z)/2 the target's Bloch vector is
+    c + x M_x + y M_y + z M_z, where c = (b00 + b11)/2, M_z = (b00 - b11)/2,
+    M_x = Re b01 and M_y = Im b01 (the |1><0| unit is the adjoint of |0><1|).
+    """
+    b00 = bloch_components(r00).real
+    b11 = bloch_components(r11).real
+    b01 = bloch_components(r01)
+    entries = np.column_stack([b01.real, b01.imag, (b00 - b11) / 2, (b00 + b11) / 2])
+    return FluxMatrix(target_qubit, time_label, entries)
 
 
 def solve_affine(outputs: dict[str, np.ndarray], target_qubit: int, time_label) -> FluxMatrix:

@@ -7,6 +7,12 @@ from the pieces `_generator_pieces` returns, once per spec and qubit count as
 one sparse CSR matrix on the row-major vec(rho), caches it on the spec, and
 hands every integration the same right-hand side: one sparse product.  The
 dense `np.kron` superoperator is kept as a cross-check oracle.
+
+`open_flux_tomography` reads the flux directly from three evolved operator
+units of the input qubit, |0><0|, |1><1| and |0><1| (the fourth, |1><0|, is
+the adjoint of the evolved |0><1|), with one integration per unit; the two
+diagonal units are density matrices and pass the `DensityMatrix` checks.
+Four-input tomography is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .dense import SpinHamiltonian
-from .flux import FluxMatrix, solve_affine
+from .flux import FluxMatrix, flux_readout
 from .pauli import PauliObservable, PauliString
-from .states import TOMOGRAPHY_INPUTS, BlochVector, RegisterState, embed, insert_qubit
+from .states import RegisterState, embed, insert_qubit
 
 OPEN_QUBIT_CAP = 8
 TRACE_TOL = 1e-9
@@ -70,12 +76,16 @@ class DensityMatrix:
 
 
 def reduced_qubit(rho: DensityMatrix, qubit: int) -> np.ndarray:
-    n = rho.n_qubits
+    return _partial_trace(rho.entries, rho.n_qubits, qubit)
+
+
+def _partial_trace(entries: np.ndarray, n: int, qubit: int) -> np.ndarray:
+    """2x2 block of one qubit, every other qubit traced out."""
     if not 1 <= qubit <= n:
         raise ValueError("qubit index out of range")
     before = 1 << (qubit - 1)
     after = 1 << (n - qubit)
-    r = rho.entries.reshape(before, 2, after, before, 2, after)
+    r = entries.reshape(before, 2, after, before, 2, after)
     return np.einsum("aibajb->ij", r)
 
 
@@ -159,24 +169,29 @@ def _master_equation(spec: LindbladSpec, n: int):
     return rhs
 
 
-def evolve_density(rho0: DensityMatrix, spec: LindbladSpec, t: float) -> DensityMatrix:
-    n = rho0.n_qubits
-    if n > OPEN_QUBIT_CAP:
-        raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
-    if t == 0:
-        return rho0
+def _integrate(entries: np.ndarray, spec: LindbladSpec, n: int, t: float) -> np.ndarray:
+    """The 2^n x 2^n operator `entries` evolved under the generator from 0 to t."""
     dim = 1 << n
     sol = solve_ivp(
         _master_equation(spec, n),
         (0.0, float(t)),
-        rho0.entries.ravel().astype(complex),
+        entries.ravel().astype(complex),
         method="DOP853",
         rtol=RTOL,
         atol=ATOL,
     )
     if not sol.success:
         raise RuntimeError(f"density-matrix integration failed: {sol.message}")
-    rho = sol.y[:, -1].reshape(dim, dim)
+    return sol.y[:, -1].reshape(dim, dim)
+
+
+def evolve_density(rho0: DensityMatrix, spec: LindbladSpec, t: float) -> DensityMatrix:
+    n = rho0.n_qubits
+    if n > OPEN_QUBIT_CAP:
+        raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
+    if t == 0:
+        return rho0
+    rho = _integrate(rho0.entries, spec, n, t)
     rho = 0.5 * (rho + rho.conj().T)  # remove integrator roundoff asymmetry
     return DensityMatrix(n, rho)
 
@@ -188,7 +203,7 @@ def open_flux_tomography(
     register: RegisterState,
     target_qubit: int,
 ) -> FluxMatrix:
-    """Four-input affine reconstruction under open evolution.
+    """FluxMatrix under open evolution, read from three evolved input units.
 
     Incoherent decay shows up in the identity column, which collects the
     input-independent drift of the target Bloch vector.
@@ -196,12 +211,15 @@ def open_flux_tomography(
     n = register.n_qubits + 1
     if n > OPEN_QUBIT_CAP:
         raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
-    outputs = {}
-    for key, amps in TOMOGRAPHY_INPUTS.items():
-        full = insert_qubit(register, amps, input_qubit)
-        rho = evolve_density(DensityMatrix.from_state(full), spec, t)
-        outputs[key] = BlochVector.of_reduced(reduced_qubit(rho, target_qubit)).as_array()
-    return solve_affine(outputs, target_qubit, t)
+    kets = [insert_qubit(register, amps, input_qubit) for amps in np.eye(2)]
+    r00, r11 = (
+        reduced_qubit(evolve_density(DensityMatrix.from_state(ket), spec, t), target_qubit) for ket in kets
+    )
+    coherence = np.outer(kets[0].amplitudes, kets[1].amplitudes.conj())
+    if t != 0:
+        coherence = _integrate(coherence, spec, n, t)
+    r01 = _partial_trace(coherence, n, target_qubit)
+    return flux_readout(r00, r11, r01, target_qubit, t)
 
 
 def expectation_trajectory(

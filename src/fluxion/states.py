@@ -2,8 +2,8 @@
 
 Qubit 1 is the most significant bit of the amplitude index; this is the one
 ordering constant of the package and is not configurable.  `embed` is the one
-embedding of a single-qubit operator into a register, and
-`BlochVector.of_reduced` the one 2x2 -> Bloch formula.
+embedding of a single-qubit operator into a register, and `bloch_components`
+the one 2x2 -> Bloch formula.
 """
 
 from __future__ import annotations
@@ -16,6 +16,11 @@ import numpy as np
 DENSE_QUBIT_CAP = 12
 
 NORM_TOL = 1e-10
+
+
+def bloch_components(R: np.ndarray) -> np.ndarray:
+    """(Tr XR, Tr YR, Tr ZR) of a 2x2 block; complex unless R is Hermitian."""
+    return np.array([R[0, 1] + R[1, 0], 1j * (R[0, 1] - R[1, 0]), R[0, 0] - R[1, 1]])
 
 
 @dataclass(frozen=True)
@@ -40,11 +45,7 @@ class BlochVector:
     @classmethod
     def of_reduced(cls, rho: np.ndarray) -> "BlochVector":
         """Bloch vector of a 2x2 (reduced) density matrix."""
-        return cls(
-            float(2 * rho[0, 1].real),
-            float(-2 * rho[0, 1].imag),
-            float((rho[0, 0] - rho[1, 1]).real),
-        )
+        return cls.from_array(bloch_components(rho).real)
 
     @classmethod
     def of_state(cls, c0: complex, c1: complex) -> "BlochVector":

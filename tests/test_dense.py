@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluxion.chain import CouplingProfile
+from fluxion.chain import CouplingProfile, flux_components, transfer_amplitude
 from fluxion.clifford import copying_stage, flux_matrix
 from fluxion.dense import (
     SpinHamiltonian,
@@ -13,8 +15,17 @@ from fluxion.dense import (
     universality_scan,
     uqcm_chain_fidelity,
 )
+from fluxion.flux import solve_affine
 from fluxion.pauli import PauliString, expectation
-from fluxion.states import RegisterState, insert_qubit, psi_plus_state, uqcm_preparation_state
+from fluxion.states import (
+    DENSE_QUBIT_CAP,
+    TOMOGRAPHY_INPUTS,
+    RegisterState,
+    bloch_of_qubit,
+    insert_qubit,
+    psi_plus_state,
+    uqcm_preparation_state,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -84,14 +95,19 @@ def test_tomography_matches_operator_decomposition():
             assert np.allclose(fm.entries[i], oracle, atol=1e-10)
 
 
+def random_term_hamiltonian(n, rng, count=5):
+    """Random real couplings on random Hermitian Pauli words of n qubits."""
+    terms = []
+    for _ in range(count):
+        xm = int(rng.integers(0, 1 << n))
+        zm = int(rng.integers(0, 1 << n))
+        terms.append((float(rng.normal()), PauliString(n, xm, zm)))
+    return SpinHamiltonian(n, tuple(terms))
+
+
 def test_tomography_random_hamiltonian_against_decomposition():
     rng = np.random.default_rng(31)
-    terms = []
-    for _ in range(5):
-        xm = int(rng.integers(0, 8))
-        zm = int(rng.integers(0, 8))
-        terms.append((float(rng.normal()), PauliString(3, xm, zm)))
-    h = SpinHamiltonian(3, tuple(terms))
+    h = random_term_hamiltonian(3, rng)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     register = RegisterState(2, v / np.linalg.norm(v))
     U = propagator(h, 0.8)
@@ -172,3 +188,102 @@ def test_dense_cap():
     # one cap for dense Hamiltonians and dense register states
     with pytest.raises(ValueError):
         RegisterState.computational(13, 0)
+
+
+def eigh_propagator(h, t):
+    """exp(-iHt) from one full-space eigh of the dense matrix (oracle)."""
+    w, V = np.linalg.eigh(h.to_matrix())
+    return (V * np.exp(-1j * w * t)) @ V.conj().T
+
+
+def four_input_tomography(U, input_qubit, register, target_qubit):
+    """Oracle: evolve the four pure inputs and fit the affine map by least squares."""
+    n = register.n_qubits + 1
+    outputs = {}
+    for key, amps in TOMOGRAPHY_INPUTS.items():
+        out = RegisterState(n, U @ insert_qubit(register, amps, input_qubit).amplitudes)
+        outputs[key] = bloch_of_qubit(out, target_qubit).as_array()
+    return solve_affine(outputs, target_qubit, "")
+
+
+@st.composite
+def hamiltonians(draw, n_min=2, n_max=5):
+    """An XY chain, a Heisenberg chain (no terms at n = 1) or a random-term Hamiltonian."""
+    n = draw(st.integers(n_min, n_max))
+    kind = draw(st.sampled_from(["xy", "heisenberg", "random"] if n > 1 else ["heisenberg", "random"]))
+    if kind == "xy":
+        couplings = draw(st.lists(st.floats(-2.0, 2.0), min_size=n - 1, max_size=n - 1))
+        return SpinHamiltonian.xy_chain(CouplingProfile(n, np.array(couplings)))
+    if kind == "heisenberg":
+        return SpinHamiltonian.heisenberg_chain(n, draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    return random_term_hamiltonian(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+def random_register(n_qubits, rng):
+    v = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return RegisterState(n_qubits, v / np.linalg.norm(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hamiltonians(), st.floats(0.0, 6.0), st.integers(0, 2**32 - 1), st.data())
+def test_direct_readout_matches_four_input_tomography(h, t, seed, data):
+    n = h.n_qubits
+    register = random_register(n - 1, np.random.default_rng(seed))
+    input_qubit = data.draw(st.integers(1, n))
+    target_qubit = data.draw(st.integers(1, n))
+    U = eigh_propagator(h, t)
+    oracle = four_input_tomography(U, input_qubit, register, target_qubit).entries
+    direct = flux_tomography(h, t, input_qubit, register, target_qubit).entries
+    assert np.abs(direct - oracle).max() < 1e-12
+    via_unitary = unitary_flux_tomography(U, input_qubit, register, target_qubit).entries
+    assert np.abs(via_unitary - oracle).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(hamiltonians(n_min=1), st.floats(-6.0, 6.0))
+def test_sector_propagator_matches_full_eigh(h, t):
+    assert np.abs(propagator(h, t) - eigh_propagator(h, t)).max() < 1e-12
+
+
+def test_sectors_read_off_the_matrix():
+    # XX and YY each couple |00> and |11>; only their sum cancels, so an XY
+    # chain splits into its n + 1 excitation-number sectors
+    h = SpinHamiltonian.xy_chain(CouplingProfile(6, np.linspace(0.5, 1.5, 5)))
+    assert [idx.size for idx, _, _ in h._eigensystem()] == [1, 6, 15, 20, 15, 6, 1]
+    assert len(SpinHamiltonian.heisenberg_chain(4, 1.0, 0.3)._eigensystem()) == 5
+    random_terms = random_term_hamiltonian(3, np.random.default_rng(31))
+    assert len(random_terms._eigensystem()) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_coupling_rejected(bad):
+    xx = PauliString.from_label(2, "X1X2")
+    with pytest.raises(ValueError):
+        SpinHamiltonian(2, ((bad, xx),))
+    with pytest.raises(ValueError):
+        SpinHamiltonian.heisenberg_chain(3, 1.0, bad)
+    # the Hermiticity check itself rejects non-finite entries
+    h = SpinHamiltonian(2, ((1.0, xx),))
+    object.__setattr__(h, "terms", ((bad, xx),))
+    with pytest.raises(AssertionError):
+        h._eigensystem()
+
+
+def test_non_hermitian_term_rejected():
+    for label in ("X1", "Z1Z2"):
+        h = SpinHamiltonian(2, ((0.5, PauliString.from_label(2, label, phase=1j)),))
+        with pytest.raises(AssertionError):
+            h._eigensystem()
+
+
+def test_chain_matches_dense_at_cap():
+    """The single-excitation reduction agrees with tomography at the dense cap."""
+    n = DENSE_QUBIT_CAP
+    rng = np.random.default_rng(12)
+    prof = CouplingProfile(n, rng.uniform(0.2, 1.5, size=n - 1))
+    h = SpinHamiltonian.xy_chain(prof)
+    register = RegisterState.computational(n - 1, 0)
+    for t in (1.7, 6.3):
+        dense = flux_tomography(h, t, 1, register, n)
+        reduced = flux_components(transfer_amplitude(prof, t), n, t)
+        assert np.abs(dense.entries - reduced.entries).max() < 1e-9

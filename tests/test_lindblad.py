@@ -16,8 +16,9 @@ from fluxion.lindblad import (
     reduced_qubit,
     superoperator,
 )
+from fluxion.flux import solve_affine
 from fluxion.pauli import PauliString
-from fluxion.states import BlochVector, RegisterState, insert_qubit, psi_plus_state
+from fluxion.states import TOMOGRAPHY_INPUTS, BlochVector, RegisterState, insert_qubit, psi_plus_state
 
 
 def plus_density():
@@ -222,6 +223,47 @@ def test_sparse_generator_matches_superoperator(case, seed):
     vec = (a + a.conj().T).ravel()
     rhs = lindblad._master_equation(spec, n)
     assert np.abs(rhs(0.0, vec) - superoperator(spec, n) @ vec).max() < 1e-12
+
+
+def four_input_open_tomography(spec, t, input_qubit, register, target_qubit):
+    """Oracle: evolve the four pure inputs and fit the affine map by least squares."""
+    outputs = {}
+    for key, amps in TOMOGRAPHY_INPUTS.items():
+        rho0 = DensityMatrix.from_state(insert_qubit(register, amps, input_qubit))
+        rho = evolve_density(rho0, spec, t)
+        outputs[key] = BlochVector.of_reduced(reduced_qubit(rho, target_qubit)).as_array()
+    return solve_affine(outputs, target_qubit, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(open_specs(), st.one_of(st.just(0.0), st.floats(0.01, 3.0)), st.integers(0, 2**32 - 1), st.data())
+def test_unit_readout_matches_four_input_tomography(case, t, seed, data):
+    spec, n = case
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
+    register = RegisterState(n - 1, v / np.linalg.norm(v))
+    input_qubit = data.draw(st.integers(1, n))
+    target_qubit = data.draw(st.integers(1, n))
+    direct = open_flux_tomography(spec, t, input_qubit, register, target_qubit).entries
+    oracle = four_input_open_tomography(spec, t, input_qubit, register, target_qubit).entries
+    assert np.abs(direct - oracle).max() < 1e-10
+
+
+def test_three_integrations_per_tomography(monkeypatch):
+    calls = []
+    original = lindblad.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad, "solve_ivp", counted)
+    spec = LindbladSpec(0.2, 0.05, 0.1, SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(3, 1.0, 0.8)))
+    register = RegisterState.computational(2, 0)
+    open_flux_tomography(spec, 0.0, 1, register, 3)
+    assert calls == []
+    open_flux_tomography(spec, 0.6, 1, register, 3)
+    assert calls == [(0.0, 0.6)] * 3
 
 
 def test_generator_built_once_per_spec(monkeypatch):

@@ -56,6 +56,7 @@ from .lindblad import (
     evolve_density,
     expectation_trajectory,
     open_flux_tomography,
+    open_flux_trajectory,
 )
 from .pauli import PauliObservable, PauliString, expectation
 from .states import (

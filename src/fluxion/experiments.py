@@ -59,20 +59,28 @@ def _grid_points(params: dict, prefix: str) -> float:
     return float(np.ceil(span / params[f"{prefix}_step"]))
 
 
+def _count(value: int) -> float:
+    """An exact integer count as a float; counts of 2^1023 or more read as inf."""
+    return float(value) if value < 2**1023 else float("inf")
+
+
 def _array_sizes(experiment: str, p: dict) -> dict[str, float]:
     """Element counts of the largest arrays a valid config would allocate."""
     grids = {prefix: _grid_points(p, prefix) for prefix in ("t", "eta") if f"{prefix}_min" in p}
     sizes = {f"the {prefix} grid": points for prefix, points in grids.items()}
     if experiment == "perfect-transfer":
-        sizes["the chain eigenvectors (n^2)"] = float(max(p["n_list"], default=0)) ** 2
+        sizes["the chain eigenvectors (n^2)"] = _count(max(p["n_list"], default=0) ** 2)
     elif experiment in ("transfer-single", "transfer-sweep", "transfer-disorder", "series-check"):
-        sizes["the chain eigenvectors (n_qubits^2)"] = float(p["n_qubits"]) ** 2
+        sizes["the chain eigenvectors (n_qubits^2)"] = _count(p["n_qubits"] ** 2)
     if experiment in ("transfer-sweep", "transfer-disorder"):
-        sizes["the mode sums (t points x n_qubits)"] = grids["t"] * p["n_qubits"]
+        sizes["the mode sums (t points x n_qubits)"] = grids["t"] * _count(p["n_qubits"])
     if experiment == "transfer-sweep":
         sizes["the sweep surface (eta points x t points)"] = grids["eta"] * grids["t"]
     if experiment == "transfer-disorder":
-        sizes["the disorder surface (trials x t points)"] = p["trials"] * grids["t"]
+        sizes["the disorder surface (trials x t points)"] = _count(p["trials"]) * grids["t"]
+    if experiment == "series-check":
+        table = (p["truncation_order"] + 3) * p["n_qubits"]
+        sizes["the series recurrence table ((truncation_order + 3) x n_qubits)"] = _count(table)
     return sizes
 
 
@@ -250,12 +258,10 @@ def run_open_flux(params, seed, threads):
         params["damping"], params["dephasing"], params["n_bar"], hamiltonian
     )
     register = RegisterState.computational(n - 1, 0)
-    rows = []
-    for t in _grid(params, "t"):
-        fm = lindblad.open_flux_tomography(
-            spec, float(t), params["input_qubit"], register, params["target_qubit"]
-        )
-        rows.append((float(t), *_flux_row(fm)))
+    fluxes = lindblad.open_flux_trajectory(
+        spec, _grid(params, "t"), params["input_qubit"], register, params["target_qubit"]
+    )
+    rows = [(fm.time_label, *_flux_row(fm)) for fm in fluxes]
     extra = {"time_units": "absolute t; damping, dephasing, and J are rates per unit t"}
     return [TableOutput("open-flux", ("t", *FLUX_COLUMNS), rows, extra)]
 

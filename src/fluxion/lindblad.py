@@ -8,15 +8,18 @@ one sparse CSR matrix on the row-major vec(rho), caches it on the spec, and
 hands every integration the same right-hand side: one sparse product.  The
 dense `np.kron` superoperator is kept as a cross-check oracle.
 
-`open_flux_tomography` reads the flux directly from three evolved operator
-units of the input qubit, |0><0|, |1><1| and |0><1| (the fourth, |1><0|, is
-the adjoint of the evolved |0><1|), with one integration per unit; the two
-diagonal units are density matrices and pass the `DensityMatrix` checks.
-Four-input tomography is kept as the test oracle.
+Every entry point runs through `_evolve`, which integrates each interval of
+an ascending grid of times t >= 0 once.  `open_flux_trajectory` reads the
+flux at every grid time from three evolved operator units of the input
+qubit, |0><0|, |1><1| and |0><1| (|1><0| is the adjoint of the evolved
+|0><1|); the two diagonal units pass the `DensityMatrix` checks at every
+time.  `open_flux_tomography` is its one-time case, and four-input
+tomography is kept as the test oracle.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,12 +67,6 @@ class DensityMatrix:
     def from_state(cls, state: RegisterState) -> "DensityMatrix":
         v = state.amplitudes
         return cls(state.n_qubits, np.outer(v, v.conj()))
-
-    def expectation(self, obs: PauliObservable | PauliString) -> float:
-        val = complex(np.trace(obs.to_matrix() @ self.entries))
-        if abs(val.imag) > 1e-8:
-            raise AssertionError(f"non-real expectation {val}")
-        return val.real
 
     def purity(self) -> float:
         return float(np.trace(self.entries @ self.entries).real)
@@ -169,31 +166,64 @@ def _master_equation(spec: LindbladSpec, n: int):
     return rhs
 
 
-def _integrate(entries: np.ndarray, spec: LindbladSpec, n: int, t: float) -> np.ndarray:
-    """The 2^n x 2^n operator `entries` evolved under the generator from 0 to t."""
-    dim = 1 << n
-    sol = solve_ivp(
-        _master_equation(spec, n),
-        (0.0, float(t)),
-        entries.ravel().astype(complex),
-        method="DOP853",
-        rtol=RTOL,
-        atol=ATOL,
-    )
-    if not sol.success:
-        raise RuntimeError(f"density-matrix integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(dim, dim)
+def _evolve(entries: np.ndarray, spec: LindbladSpec, n: int, t_grid):
+    """Yields the operator `entries`, given at t = 0, at every time of an ascending grid.
+
+    Each interval between consecutive grid times is integrated once, from the
+    state at the end of the previous one.
+    """
+    if n > OPEN_QUBIT_CAP:
+        raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if not (t_grid >= 0).all():
+        raise ValueError("times must be >= 0")
+    if not (np.diff(t_grid) >= 0).all():
+        raise ValueError("time grid must be ascending")
+    rhs = _master_equation(spec, n)
+    y = entries.ravel().astype(complex)
+    start = 0.0
+    for t in t_grid:
+        if t > start:
+            sol = solve_ivp(rhs, (start, float(t)), y, method="DOP853", rtol=RTOL, atol=ATOL)
+            gc.collect(1)  # the finished solver is a reference cycle holding (16, 4^n) stage arrays
+            if not sol.success:
+                raise RuntimeError(f"density-matrix integration failed: {sol.message}")
+            y = sol.y[:, -1]
+            start = float(t)
+        yield y.reshape(entries.shape)
+
+
+def _density(n: int, rho: np.ndarray) -> DensityMatrix:
+    return DensityMatrix(n, 0.5 * (rho + rho.conj().T))  # remove integrator roundoff asymmetry
 
 
 def evolve_density(rho0: DensityMatrix, spec: LindbladSpec, t: float) -> DensityMatrix:
-    n = rho0.n_qubits
-    if n > OPEN_QUBIT_CAP:
-        raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
-    if t == 0:
-        return rho0
-    rho = _integrate(rho0.entries, spec, n, t)
-    rho = 0.5 * (rho + rho.conj().T)  # remove integrator roundoff asymmetry
-    return DensityMatrix(n, rho)
+    (rho,) = _evolve(rho0.entries, spec, rho0.n_qubits, [t])
+    return _density(rho0.n_qubits, rho)
+
+
+def open_flux_trajectory(
+    spec: LindbladSpec,
+    t_grid,
+    input_qubit: int,
+    register: RegisterState,
+    target_qubit: int,
+) -> list[FluxMatrix]:
+    """FluxMatrix at every time of an ascending grid, read from three evolved input units.
+
+    Each unit is integrated once over the whole grid.  Incoherent decay shows
+    up in the identity column, which collects the input-independent drift of
+    the target Bloch vector.
+    """
+    n = register.n_qubits + 1
+    k0, k1 = (insert_qubit(register, amps, input_qubit).amplitudes for amps in np.eye(2))
+    units = [np.outer(a, b.conj()) for a, b in ((k0, k0), (k1, k1), (k0, k1))]
+    fluxes = []
+    for t, rho00, rho11, coherence in zip(t_grid, *(_evolve(u, spec, n, t_grid) for u in units)):
+        r00, r11 = (reduced_qubit(_density(n, rho), target_qubit) for rho in (rho00, rho11))
+        r01 = _partial_trace(coherence, n, target_qubit)
+        fluxes.append(flux_readout(r00, r11, r01, target_qubit, float(t)))
+    return fluxes
 
 
 def open_flux_tomography(
@@ -203,23 +233,8 @@ def open_flux_tomography(
     register: RegisterState,
     target_qubit: int,
 ) -> FluxMatrix:
-    """FluxMatrix under open evolution, read from three evolved input units.
-
-    Incoherent decay shows up in the identity column, which collects the
-    input-independent drift of the target Bloch vector.
-    """
-    n = register.n_qubits + 1
-    if n > OPEN_QUBIT_CAP:
-        raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
-    kets = [insert_qubit(register, amps, input_qubit) for amps in np.eye(2)]
-    r00, r11 = (
-        reduced_qubit(evolve_density(DensityMatrix.from_state(ket), spec, t), target_qubit) for ket in kets
-    )
-    coherence = np.outer(kets[0].amplitudes, kets[1].amplitudes.conj())
-    if t != 0:
-        coherence = _integrate(coherence, spec, n, t)
-    r01 = _partial_trace(coherence, n, target_qubit)
-    return flux_readout(r00, r11, r01, target_qubit, t)
+    """FluxMatrix under open evolution at one time t >= 0."""
+    return open_flux_trajectory(spec, [t], input_qubit, register, target_qubit)[0]
 
 
 def expectation_trajectory(
@@ -228,39 +243,15 @@ def expectation_trajectory(
     rho0: DensityMatrix,
     t_grid,
 ) -> np.ndarray:
-    """Tr[obs rho(t)] sampled on an ascending time grid, single integration."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        return np.array([])
-    if (np.diff(t_grid) < 0).any():
-        raise ValueError("time grid must be ascending")
-    n = rho0.n_qubits
-    if n > OPEN_QUBIT_CAP:
-        raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
+    """Tr[obs rho(t)] on an ascending time grid starting at t >= 0."""
     M = obs.to_matrix()
-    end = float(t_grid[-1])
-    if end == 0.0:
-        return np.full(t_grid.size, float(np.trace(M @ rho0.entries).real))
-    dim = 1 << n
-    sol = solve_ivp(
-        _master_equation(spec, n),
-        (0.0, end),
-        rho0.entries.ravel().astype(complex),
-        method="DOP853",
-        rtol=RTOL,
-        atol=ATOL,
-        t_eval=t_grid,
-    )
-    if not sol.success:
-        raise RuntimeError(f"density-matrix integration failed: {sol.message}")
-    values = np.empty(t_grid.size)
-    for k in range(t_grid.size):
-        rho = sol.y[:, k].reshape(dim, dim)
+    values = []
+    for rho in _evolve(rho0.entries, spec, rho0.n_qubits, t_grid):
         val = complex(np.trace(M @ rho))
         if abs(val.imag) > 1e-7:
             raise AssertionError(f"non-real expectation {val}")
-        values[k] = val.real
-    return values
+        values.append(val.real)
+    return np.array(values)
 
 
 def superoperator(spec: LindbladSpec, n_qubits: int) -> np.ndarray:

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread: on a shared 2-CPU host the first LAPACK call of a process
+# sometimes stalls for about a second with two.  Set before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 ACCEPTANCE_LINES: list[str] = []
 
 

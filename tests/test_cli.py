@@ -215,6 +215,11 @@ def test_main_exit_codes(tmp_path, capsys):
         ("transfer-single", "n_qubits = 100000000", "chain eigenvectors"),  # 71.1 PiB
         ("transfer-sweep", "eta_step = 1e-6", "sweep surface"),
         ("transfer-disorder", "trials = 1000000", "disorder surface"),
+        # integers too large for a float
+        ("transfer-single", f"n_qubits = {10**400}", "chain eigenvectors"),
+        ("perfect-transfer", f"n_list = 4, {10**400}", "chain eigenvectors"),
+        ("transfer-disorder", f"trials = {10**400}", "disorder surface"),
+        ("series-check", "truncation_order = 1000000000", "series recurrence table"),
     ],
 )
 def test_main_rejects_oversized_arrays(tmp_path, capsys, experiment, param, array):

@@ -13,6 +13,7 @@ from fluxion.lindblad import (
     evolve_density,
     expectation_trajectory,
     open_flux_tomography,
+    open_flux_trajectory,
     reduced_qubit,
     superoperator,
 )
@@ -140,6 +141,17 @@ def test_trajectory_edge_cases():
     assert np.allclose(only_zero, 1.0)
     with pytest.raises(ValueError):
         expectation_trajectory(spec, ident, rho0, np.array([1.0, 0.5]))
+    # a dissipative generator must not be integrated backwards
+    with pytest.raises(ValueError):
+        expectation_trajectory(spec, ident, rho0, np.array([-1.0, 0.0]))
+    with pytest.raises(ValueError):
+        expectation_trajectory(spec, ident, rho0, np.array([0.0, np.nan]))
+    with pytest.raises(ValueError):
+        evolve_density(rho0, spec, -0.5)
+    with pytest.raises(ValueError):
+        open_flux_tomography(spec, -0.5, 1, RegisterState.empty(), 1)
+    with pytest.raises(ValueError):
+        open_flux_trajectory(spec, [0.5, -0.5], 1, RegisterState.empty(), 1)
 
 
 def test_open_tomography_single_qubit():
@@ -264,6 +276,11 @@ def test_three_integrations_per_tomography(monkeypatch):
     assert calls == []
     open_flux_tomography(spec, 0.6, 1, register, 3)
     assert calls == [(0.0, 0.6)] * 3
+    # a grid integrates each nonzero interval once per unit, from the previous grid time
+    calls.clear()
+    fluxes = open_flux_trajectory(spec, [0.0, 0.3, 0.3, 0.6, 1.0], 1, register, 3)
+    assert len(fluxes) == 5
+    assert calls == [(0.0, 0.3)] * 3 + [(0.3, 0.6)] * 3 + [(0.6, 1.0)] * 3
 
 
 def test_generator_built_once_per_spec(monkeypatch):
@@ -284,16 +301,60 @@ def test_generator_built_once_per_spec(monkeypatch):
     assert builds == [3]
 
 
-@pytest.mark.parametrize("t", [0.7, 2.9])
-def test_zero_temperature_damping_closed_form(t):
-    """Uniform T=0 damping multiplies the chain amplitude by exp(-gamma t / 2).
+def zero_temperature_chain(n, gam=0.3):
+    """Uniform T=0 damping on an XY chain, and its closed-form flux at time t.
 
     With every register qubit in |0>, the no-jump part -i gamma/2 N commutes
-    with the excitation-conserving H, and a jump only returns the vacuum.
+    with the excitation-conserving H, and a jump only returns the vacuum, so
+    damping multiplies the chain amplitude by exp(-gamma t / 2).
     """
-    gam = 0.3
-    profile = CouplingProfile.uniform_eta(6, 1.0, 0.7)
+    profile = CouplingProfile.uniform_eta(n, 1.0, 0.7)
     spec = LindbladSpec(gam, 0.0, 0.0, SpinHamiltonian.xy_chain(profile))
+
+    def expected(t):
+        return flux_components(transfer_amplitude(profile, t) * np.exp(-gam * t / 2), n, t).entries
+
+    return spec, expected
+
+
+@pytest.mark.parametrize("t", [0.7, 2.9])
+def test_zero_temperature_damping_closed_form(t):
+    spec, expected = zero_temperature_chain(6)
     fm = open_flux_tomography(spec, t, 1, RegisterState.computational(5, 0), 6)
-    expected = flux_components(transfer_amplitude(profile, t) * np.exp(-gam * t / 2), 6, t)
-    assert np.abs(fm.entries - expected.entries).max() < 1e-9
+    assert np.abs(fm.entries - expected(t)).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_zero_temperature_damping_closed_form_grid(n):
+    spec, expected = zero_temperature_chain(n)
+    ts = [0.7, 2.9]
+    fluxes = open_flux_trajectory(spec, ts, 1, RegisterState.computational(n - 1, 0), n)
+    assert [fm.time_label for fm in fluxes] == ts
+    for t, fm in zip(ts, fluxes):
+        assert np.abs(fm.entries - expected(t)).max() < 1e-9
+
+
+def test_thermal_chain_trajectory_matches_exponential():
+    """Grid fluxes of a thermal damped chain against exp(S t) applied to the inputs.
+
+    The reference steps by the exact propagator exp(S dt): exp(S k dt) = exp(S dt)^k.
+    """
+    n, dt = 4, 0.1
+    h = SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(n, 1.0, 1.0))
+    spec = LindbladSpec(0.1, 0.05, 0.2, h)
+    register = RegisterState.computational(n - 1, 0)
+    ts = dt * np.arange(51)
+    step = expm(superoperator(spec, n) * dt)
+    vecs = {}
+    for key, amps in TOMOGRAPHY_INPUTS.items():
+        v = insert_qubit(register, amps, 1).amplitudes
+        vecs[key] = np.outer(v, v.conj()).ravel()
+    worst = 0.0
+    for t, fm in zip(ts, open_flux_trajectory(spec, ts, 1, register, n)):
+        outputs = {}
+        for key, vec in vecs.items():
+            rho = DensityMatrix(n, vec.reshape(1 << n, 1 << n))
+            outputs[key] = BlochVector.of_reduced(reduced_qubit(rho, n)).as_array()
+            vecs[key] = step @ vec
+        worst = max(worst, np.abs(fm.entries - solve_affine(outputs, n, t).entries).max())
+    assert worst < 1e-10

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .flux import FluxMatrix
 from .pauli import PHASES, PauliObservable, PauliString, qubit_mask
@@ -274,6 +273,63 @@ def _diagonal_flux_forms(targets=(2, 3)) -> dict[tuple[str, int], PauliString]:
     return forms
 
 
+def _diagonal_flux_matrices() -> np.ndarray:
+    """The `_diagonal_flux_forms` strings as a (6, 4, 4) stack, in their order
+    X2, Y2, Z2, X3, Y3, Z3.
+
+    For a real register v the diagonal fluxes are the quadratic forms v.Qv.
+    Every residual string of the copying stage is real, so each Q is a real
+    symmetric matrix.
+    """
+    mats = np.stack([s.to_matrix() for s in _diagonal_flux_forms().values()])
+    if np.abs(mats.imag).max() > 0:
+        raise AssertionError("copying stage lost its real diagonal flux forms")
+    return mats.real
+
+
+@dataclass(frozen=True)
+class _PreparationProblem:
+    """Residual and score of one constraint set as quadratic forms in real v.
+
+    Row k of the residual is v.R_k v - offsets[k], so its Jacobian row is
+    2 R_k v; the score is v.S v with gradient 2 S v.  Row 0 is the norm
+    v.v - 1.
+    """
+
+    residual_forms: np.ndarray
+    offsets: np.ndarray
+    score_form: np.ndarray
+
+    @classmethod
+    def build(cls, constraint_set: str) -> "_PreparationProblem":
+        x2, y2, z2, x3, y3, z3 = _diagonal_flux_matrices()
+        if constraint_set == "symmetric-universal":
+            rows, values = [x2 - x3, y2 - y3, z2 - z3, x2 - y2, y2 - z2], [0.0] * 5
+            score_form = (x2 + y2 + z2 + x3 + y3 + z3) / 6.0
+        elif constraint_set == "fully-biased":
+            rows, values = [x2, y2, z2], [1.0] * 3
+            score_form = (x2 + y2 + z2) / 3.0
+        else:
+            raise ValueError(f"unknown constraint set {constraint_set!r}")
+        return cls(np.stack([np.eye(4), *rows]), np.array([1.0, *values]), score_form)
+
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        return self.residual_forms @ v @ v - self.offsets
+
+    def jacobian(self, v: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.residual_forms @ v)
+
+    def score(self, v: np.ndarray) -> float:
+        return float(v @ self.score_form @ v)
+
+    def penalized(self, v: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+        """-score + mu |residual|^2 and its gradient."""
+        rv = self.residual_forms @ v
+        r = rv @ v - self.offsets
+        sv = self.score_form @ v
+        return float(mu * (r @ r) - v @ sv), 4.0 * mu * (r @ rv) - 2.0 * sv
+
+
 def optimize_preparation(constraint_set: str, seeds: int = 12) -> PreparationResult:
     """Best real-amplitude register preparation for the copying stage.
 
@@ -282,52 +338,14 @@ def optimize_preparation(constraint_set: str, seeds: int = 12) -> PreparationRes
     qubit 2.  The feasible sets are lower-dimensional with rank-deficient
     constraint Jacobians, so a staged quadratic penalty steers seeded starts
     into the right basin and a least-squares polish lands on the constraint
-    manifold; the best feasible candidate wins.
+    manifold; the best feasible candidate wins.  Both stages use the exact
+    gradients of the quadratic forms.
     """
-    if constraint_set not in ("symmetric-universal", "fully-biased"):
-        raise ValueError(f"unknown constraint set {constraint_set!r}")
-    forms = _diagonal_flux_forms()
-
-    def fluxes(v: np.ndarray) -> dict[tuple[str, int], float]:
-        return {
-            key: float(np.vdot(v, s.apply(v.astype(complex))).real)
-            for key, s in forms.items()
-        }
-
-    if constraint_set == "symmetric-universal":
-
-        def residual(v):
-            f = fluxes(v)
-            return np.array(
-                [
-                    v @ v - 1.0,
-                    f[("X", 2)] - f[("X", 3)],
-                    f[("Y", 2)] - f[("Y", 3)],
-                    f[("Z", 2)] - f[("Z", 3)],
-                    f[("X", 2)] - f[("Y", 2)],
-                    f[("Y", 2)] - f[("Z", 2)],
-                ]
-            )
-
-        def score(v):
-            return float(np.mean(list(fluxes(v).values())))
-
-    else:
-
-        def residual(v):
-            f = fluxes(v)
-            return np.array(
-                [
-                    v @ v - 1.0,
-                    f[("X", 2)] - 1.0,
-                    f[("Y", 2)] - 1.0,
-                    f[("Z", 2)] - 1.0,
-                ]
-            )
-
-        def score(v):
-            f = fluxes(v)
-            return float((f[("X", 2)] + f[("Y", 2)] + f[("Z", 2)]) / 3.0)
+    problem = _PreparationProblem.build(constraint_set)
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    # loaded here, not at import: no other entry point optimizes
+    from scipy.optimize import least_squares, minimize
 
     best = None
     best_infeasible = None
@@ -336,21 +354,25 @@ def optimize_preparation(constraint_set: str, seeds: int = 12) -> PreparationRes
         v /= np.linalg.norm(v)
         for mu in (10.0, 100.0, 1000.0):
             res = minimize(
-                lambda w: -score(w) + mu * float(residual(w) @ residual(w)),
+                problem.penalized,
                 v,
+                args=(mu,),
+                jac=True,
                 method="BFGS",
                 options={"maxiter": 400, "gtol": 1e-12},
             )
             v = res.x
-        polish = least_squares(residual, v, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        polish = least_squares(
+            problem.residual, v, jac=problem.jacobian, xtol=1e-15, ftol=1e-15, gtol=1e-15
+        )
         v = polish.x
-        feas = float(np.abs(residual(v)).max())
+        feas = float(np.abs(problem.residual(v)).max())
         if feas < FEASIBILITY_TOL:
-            sc = score(v)
+            sc = problem.score(v)
             if best is None or sc > best[0]:
                 best = (sc, v, feas)
         elif best_infeasible is None or feas < best_infeasible[2]:
-            best_infeasible = (score(v), v, feas)
+            best_infeasible = (problem.score(v), v, feas)
     if best is None:
         sc, v, feas = best_infeasible
         raise RuntimeError(

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from .dense import SpinHamiltonian
 from .flux import FluxMatrix, flux_readout
@@ -144,6 +143,17 @@ def _sparse_generator(spec: LindbladSpec, n: int) -> sparse.csr_array:
     cols = np.concatenate([b.col for b in blocks])
     size = 1 << 2 * n
     return sparse.csr_array((data, (rows, cols)), shape=(size, size))
+
+
+def solve_ivp(fun, t_span, y0, **options):
+    """`scipy.integrate.solve_ivp`, imported on the first call.
+
+    Only open evolution integrates, so `import fluxion` does not pay for
+    loading `scipy.integrate`.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
 def _master_equation(spec: LindbladSpec, n: int):

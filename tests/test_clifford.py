@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from fluxion.clifford import (
     CliffordCircuit,
     Gate,
+    _diagonal_flux_forms,
+    _diagonal_flux_matrices,
+    _PreparationProblem,
     cnot,
     conjugate,
     conjugate_string,
@@ -263,6 +266,57 @@ def test_complex_phases_do_not_beat_real_optimum():
             assert diags.mean() <= best_real + 1e-3
 
 
+CONSTRAINT_SETS = ("symmetric-universal", "fully-biased")
+
+
+def test_stacked_flux_forms_match_pauli_apply():
+    """v.Qv of every stacked form, and the residuals and scores built from
+    them, equal the register expectations of the flux strings."""
+    forms = _diagonal_flux_forms()
+    stacked = _diagonal_flux_matrices()
+    assert stacked.shape == (6, 4, 4) and stacked.dtype == float
+    assert np.array_equal(stacked, stacked.transpose(0, 2, 1))
+    problems = {name: _PreparationProblem.build(name) for name in CONSTRAINT_SETS}
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        v = rng.normal(size=4)
+        f = {key: np.vdot(v, s.apply(v.astype(complex))).real for key, s in forms.items()}
+        assert np.abs(stacked @ v @ v - list(f.values())).max() <= 1e-14
+        x2, y2, z2, x3, y3, z3 = (f[(letter, q)] for q in (2, 3) for letter in "XYZ")
+        expected = {
+            "symmetric-universal": (
+                [v @ v - 1, x2 - x3, y2 - y3, z2 - z3, x2 - y2, y2 - z2],
+                (x2 + y2 + z2 + x3 + y3 + z3) / 6,
+            ),
+            "fully-biased": ([v @ v - 1, x2 - 1, y2 - 1, z2 - 1], (x2 + y2 + z2) / 3),
+        }
+        for name, (residual, score) in expected.items():
+            assert np.abs(problems[name].residual(v) - residual).max() <= 1e-13
+            assert problems[name].score(v) == pytest.approx(score, abs=1e-13)
+
+
+@pytest.mark.parametrize("constraint_set", CONSTRAINT_SETS)
+def test_preparation_gradients_match_central_differences(constraint_set):
+    problem = _PreparationProblem.build(constraint_set)
+    rng = np.random.default_rng(23)
+    step = 1e-6
+    for mu in (10.0, 1000.0):
+        v = rng.normal(size=4)
+        value, grad = problem.penalized(v, mu)
+        assert value == pytest.approx(mu * np.sum(problem.residual(v) ** 2) - problem.score(v), rel=1e-14)
+        jac = problem.jacobian(v)
+        fd_grad = np.empty(4)
+        fd_jac = np.empty_like(jac)
+        for i, e in enumerate(np.eye(4) * step):
+            fd_grad[i] = (problem.penalized(v + e, mu)[0] - problem.penalized(v - e, mu)[0]) / (2 * step)
+            fd_jac[:, i] = (problem.residual(v + e) - problem.residual(v - e)) / (2 * step)
+        assert np.linalg.norm(grad - fd_grad) <= 1e-6 * np.linalg.norm(grad)
+        assert np.linalg.norm(jac - fd_jac) <= 1e-6 * np.linalg.norm(jac)
+
+
 def test_unknown_constraint_set():
     with pytest.raises(ValueError):
         optimize_preparation("asymmetric")
+    for seeds in (0, -3):
+        with pytest.raises(ValueError, match="seeds"):
+            optimize_preparation("fully-biased", seeds=seeds)

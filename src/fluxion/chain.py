@@ -7,8 +7,10 @@ spectrum comes in exact +-lam pairs.  Each propagator element from the far
 end is then a real cosine sum or an imaginary sine sum over lam > 0, by the
 parity of the site distance: the end-to-end amplitude f(t) is real for odd
 N and imaginary for even N.  The power series evaluator reproduces the same
-coefficients from the site recurrence with explicit truncation accounting
-and is kept as a cross-check.
+coefficients as a cross-check, with explicit truncation accounting: it
+streams one vector of Taylor terms T^m e_1 t^m / m! in arbitrary precision,
+each from the last by one product with the coupling matrix, and never
+forms the powers of T.
 """
 
 from __future__ import annotations
@@ -171,10 +173,13 @@ class SeriesResult:
 def series_flux(profile: CouplingProfile, t: float, truncation_order: int) -> SeriesResult:
     """Site coefficients via the alternating power series of the recurrence.
 
+    Streams u_m = T^m e_1 t^m / m!, with T the coupling matrix read from the
+    far end, and adds term m with sign + for m mod 4 < 2 and - otherwise.
     Works in arbitrary precision: raw terms grow like (J_max t)^m / m!
     before cancelling, so the working precision is scaled to the peak term.
-    The reported bound is the first omitted term's magnitude and must beat
-    the 1e-10 target, otherwise the truncation is rejected.
+    The reported bound is the first omitted term's magnitude, the largest
+    entry of u over m = order + 1 and order + 2, and must beat the 1e-10
+    target, otherwise the truncation is rejected.
     """
     n = profile.n_qubits
     if truncation_order < n - 1:
@@ -183,45 +188,30 @@ def series_flux(profile: CouplingProfile, t: float, truncation_order: int) -> Se
     dps = int(2 * jmax * abs(t) / np.log(10.0)) + 40
     with mpmath.workdps(dps):
         mt = mpmath.mpf(t)
-        rev = [mpmath.mpf(float(c)) for c in profile.couplings[::-1]]
-        # w_m = T w_{m-1} with T the coupling matrix read from the far end
-        w = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (n - 1)
-        powers: list[list[mpmath.mpf]] = [list(w)]
-        for _ in range(truncation_order + 2):
-            nxt = [mpmath.mpf(0)] * n
-            for k in range(n):
-                acc = mpmath.mpf(0)
-                if k > 0:
-                    acc += rev[k - 1] * w[k - 1]
-                if k < n - 1:
-                    acc += rev[k] * w[k + 1]
-                nxt[k] = acc
-            w = nxt
-            powers.append(list(w))
-
-        coeffs = np.empty(n)
-        bound = 0.0
-        terms_used = 0
-        for j in range(1, n + 1):
-            sign = -1 if ((j - 1) // 2) % 2 else 1
-            total = mpmath.mpf(0)
-            i = 0
-            m = j - 1
-            while m <= truncation_order:
-                term = powers[m][j - 1] * mt**m / mpmath.factorial(m)
-                total += term if i % 2 == 0 else -term
-                terms_used = max(terms_used, m)
-                i += 1
-                m += 2
-            omitted = abs(powers[m][j - 1] * mt**m / mpmath.factorial(m))
-            bound = max(bound, float(omitted))
-            coeffs[j - 1] = float(sign * total)
+        zero = mpmath.mpf(0)
+        # a zero site at each end, so every site has two neighbours
+        rev = [zero, *(mpmath.mpf(float(c)) for c in profile.couplings[::-1]), zero]
+        u = [zero, mpmath.mpf(1), *[zero] * n]
+        total = u[1:-1]
+        bound = zero
+        for m in range(1, truncation_order + 3):
+            step = mt / m
+            inner = ((rev[k - 1] * u[k - 1] + rev[k] * u[k + 1]) * step for k in range(1, n + 1))
+            u = [zero, *inner, zero]
+            if m > truncation_order:
+                bound = max(bound, *map(abs, u))
+            elif m % 4 < 2:
+                total = [a + b for a, b in zip(total, u[1:])]
+            else:
+                total = [a - b for a, b in zip(total, u[1:])]
+        coeffs = np.array([float(v) for v in total])
+        bound = float(bound)
     if bound >= TRUNCATION_TARGET:
         raise TruncationError(
             f"order {truncation_order} leaves a term of magnitude {bound:.3e} "
             f"at t={t}; raise the order"
         )
-    return SeriesResult(coeffs, bound, terms_used)
+    return SeriesResult(coeffs, bound, truncation_order)
 
 
 def flux_components(f: complex, target_qubit: int, time_label: float | str = "") -> FluxMatrix:
@@ -286,11 +276,10 @@ def eta_sweep(
     n_qubits: int,
     eta_grid: np.ndarray = DEFAULT_ETA_GRID,
     t_grid: np.ndarray = DEFAULT_TIME_GRID,
-    tie_tol: float = TIE_TOL,
 ) -> SweepResult:
     """|f| surface over (eta, Jt) with earliest-time argmax selection.
 
-    Grid points whose value is within tie_tol of the surface maximum count
+    Grid points whose value is within TIE_TOL of the surface maximum count
     as ties; the smallest time wins, then the smallest eta.
     """
     eta_grid = np.asarray(eta_grid, dtype=float)
@@ -302,7 +291,7 @@ def eta_sweep(
         profile = CouplingProfile.uniform_eta(n_qubits, 1.0, float(eta))
         surface[i] = np.abs(amplitude_curve(profile, t_grid))
     top = float(surface.max())
-    tie_eta, tie_t = np.nonzero(surface >= top - tie_tol)
+    tie_eta, tie_t = np.nonzero(surface >= top - TIE_TOL)
     order = np.lexsort((eta_grid[tie_eta], t_grid[tie_t]))
     ei, ti = int(tie_eta[order[0]]), int(tie_t[order[0]])
     return SweepResult(

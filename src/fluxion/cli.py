@@ -85,6 +85,10 @@ def load_config(path: str, experiment: str, seed_override: int | None = None) ->
 
 
 def _parse_value(key: str, raw: str, spec) -> tuple[object, str | None]:
+    if spec.kind == "choice":
+        if raw not in spec.choices:
+            return None, f"{key} must be one of {', '.join(spec.choices)}; got {raw!r}"
+        return raw, None
     try:
         if spec.kind == "int":
             return int(raw), None
@@ -92,20 +96,14 @@ def _parse_value(key: str, raw: str, spec) -> tuple[object, str | None]:
             return tuple(int(v) for v in raw.split(",") if v.strip() != ""), None
         if spec.kind == "float":
             value = float(raw)
-        elif spec.kind == "float-list":
+        else:  # float-list
             value = tuple(float(v) for v in raw.split(",") if v.strip() != "")
     except ValueError:
         return None, f"{key} must be a {spec.kind}, got {raw!r}"
-    if spec.kind in ("float", "float-list"):
-        floats = value if isinstance(value, tuple) else (value,)
-        if not all(math.isfinite(v) for v in floats):
-            return None, f"{key} must be finite, got {raw!r}"
-        return value, None
-    if spec.kind == "choice":
-        if raw not in spec.choices:
-            return None, f"{key} must be one of {', '.join(spec.choices)}; got {raw!r}"
-        return raw, None
-    return raw, None
+    floats = value if isinstance(value, tuple) else (value,)
+    if not all(math.isfinite(v) for v in floats):
+        return None, f"{key} must be finite, got {raw!r}"
+    return value, None
 
 
 def resolve(config: RunConfig) -> dict:
@@ -137,10 +135,6 @@ def resolve(config: RunConfig) -> dict:
             values = value if isinstance(value, tuple) else (value,)
             if any(v < spec.minimum for v in values):
                 diagnostics.append(f"{key} must be >= {spec.minimum}, got {value}")
-        if spec.maximum is not None:
-            values = value if isinstance(value, tuple) else (value,)
-            if any(v > spec.maximum for v in values):
-                diagnostics.append(f"{key} must be <= {spec.maximum}, got {value}")
     if not diagnostics:
         diagnostics.extend(cross_checks(config.experiment, params))
     if diagnostics:

@@ -2,17 +2,21 @@
 
 Gates are listed in execution order; the evolved operator is U^dag Sigma U
 with U = g_m ... g_1, so conjugation walks the gate list from the newest
-gate inward.  All mask/phase arithmetic is exact.
+gate inward.  Each gate updates a string's (x_mask, z_mask, phase) by one
+exact rule, the tableau updates of Aaronson and Gottesman, Phys. Rev. A 70,
+052328 (2004): a single-qubit gate maps the X, Y or Z letter on its qubit to
+a signed letter, and CNOT(c, t) sets x_t ^= x_c and z_c ^= z_t, flipping
+the sign when x_c = z_t = 1 and x_t = z_c.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .flux import FluxMatrix
-from .pauli import PHASES, PauliObservable, PauliString, qubit_mask
+from .flux import COL_LETTERS, FluxMatrix
+from .pauli import _LETTER_BITS, PauliObservable, PauliString, qubit_mask
 from .states import RegisterState, embed
 
 GATE_NAMES = ("CNOT", "H", "S", "X", "Y", "Z")
@@ -96,62 +100,53 @@ def copying_stage() -> CliffordCircuit:
     return CliffordCircuit(3, [cnot(1, 2), cnot(1, 3), cnot(2, 1), cnot(3, 1)])
 
 
-# single-qubit images (letter -> (letter, sign)) under g^dag P g
-_SINGLE_IMAGES = {
-    "H": {"X": ("Z", 1), "Z": ("X", 1)},
-    "S": {"X": ("Y", -1), "Z": ("Z", 1)},
-    "X": {"X": ("X", 1), "Z": ("Z", -1)},
-    "Y": {"X": ("X", -1), "Z": ("Z", -1)},
-    "Z": {"X": ("X", -1), "Z": ("Z", 1)},
+# g^dag P g for the letter P on a single-qubit gate's qubit: (letter, sign)
+_LETTER_IMAGES = {
+    "H": {"X": ("Z", 1), "Y": ("Y", -1), "Z": ("X", 1)},
+    "S": {"X": ("Y", -1), "Y": ("X", 1), "Z": ("Z", 1)},
+    "X": {"X": ("X", 1), "Y": ("Y", -1), "Z": ("Z", -1)},
+    "Y": {"X": ("X", -1), "Y": ("Y", 1), "Z": ("Z", -1)},
+    "Z": {"X": ("X", -1), "Y": ("Y", -1), "Z": ("Z", 1)},
 }
-
-
-def _generator_image(gate: Gate, n: int, letter: str, qubit: int) -> PauliString:
-    """Image of the X_q or Z_q generator under conjugation by one gate."""
-    if gate.name == "CNOT":
-        c, t = gate.qubits
-        if letter == "X" and qubit == c:
-            return PauliString.from_label(n, f"X{c}X{t}")
-        if letter == "Z" and qubit == t:
-            return PauliString.from_label(n, f"Z{c}Z{t}")
-        return PauliString.from_label(n, f"{letter}{qubit}")
-    if qubit != gate.qubits[0]:
-        return PauliString.from_label(n, f"{letter}{qubit}")
-    out, sign = _SINGLE_IMAGES[gate.name][letter]
-    return PauliString.from_label(n, f"{out}{qubit}", phase=complex(sign))
 
 
 def conjugate_string(string: PauliString, gate: Gate) -> PauliString:
     """g^dag string g for a single gate."""
     n = string.n_qubits
-    result = PauliString.identity(n)
-    for q in range(1, n + 1):
-        if string.x_mask & qubit_mask(n, q):
-            result = result * _generator_image(gate, n, "X", q)
-    for q in range(1, n + 1):
-        if string.z_mask & qubit_mask(n, q):
-            result = result * _generator_image(gate, n, "Z", q)
-    scalar = string.phase * PHASES[(string.x_mask & string.z_mask).bit_count() % 4]
-    return PauliString(n, result.x_mask, result.z_mask, result.phase * scalar)
+    x_mask, z_mask, phase = string.x_mask, string.z_mask, string.phase
+    if gate.name == "CNOT":
+        c, t = (qubit_mask(n, q) for q in gate.qubits)
+        x_c, z_t = bool(x_mask & c), bool(z_mask & t)
+        if x_c and z_t and bool(x_mask & t) == bool(z_mask & c):
+            phase = -phase
+        if x_c:
+            x_mask ^= t
+        if z_t:
+            z_mask ^= c
+        return PauliString(n, x_mask, z_mask, phase)
+    q = gate.qubits[0]
+    letter = string.letter(q)
+    if letter == "I":
+        return string
+    image, sign = _LETTER_IMAGES[gate.name][letter]
+    m = qubit_mask(n, q)
+    bx, bz = _LETTER_BITS[image]
+    return PauliString(n, (x_mask & ~m) | bx * m, (z_mask & ~m) | bz * m, sign * phase)
 
 
 def conjugate(obs: PauliObservable | PauliString, circuit: CliffordCircuit):
     """Heisenberg image of obs through the whole circuit."""
-    n = getattr(obs, "n_qubits")
+    n = obs.n_qubits
     if n != circuit.n_qubits:
         raise ValueError("qubit count mismatch")
-    if isinstance(obs, PauliString):
-        out_s = obs
-        for gate in reversed(circuit.gates):
-            out_s = conjugate_string(out_s, gate)
-        return out_s
-    out = PauliObservable(n)
-    for (x_mask, z_mask), coeff in obs.terms.items():
-        evolved = PauliString(n, x_mask, z_mask)
-        for gate in reversed(circuit.gates):
-            evolved = conjugate_string(evolved, gate)
-        out.add_string(evolved, coeff)
-    return out
+    if isinstance(obs, PauliObservable):
+        out = PauliObservable(n)
+        for (x_mask, z_mask), coeff in obs.terms.items():
+            out.add_string(conjugate(PauliString(n, x_mask, z_mask), circuit), coeff)
+        return out
+    for gate in reversed(circuit.gates):
+        obs = conjugate_string(obs, gate)
+    return obs
 
 
 def table1() -> dict[tuple[str, int], list[PauliString]]:
@@ -167,10 +162,15 @@ def table1() -> dict[tuple[str, int], list[PauliString]]:
     return out
 
 
-def _drop_qubit(mask: int, n: int, qubit: int) -> int:
-    low = mask & ((1 << (n - qubit)) - 1)
-    high = mask >> (n - qubit + 1)
-    return (high << (n - qubit)) | low
+def _residual(string: PauliString, qubit: int) -> PauliString:
+    """The string without `qubit`: its part on the other n - 1 qubits."""
+    n = string.n_qubits
+    low = qubit_mask(n, qubit) - 1
+
+    def drop(mask: int) -> int:
+        return ((mask >> (n - qubit + 1)) << (n - qubit)) | (mask & low)
+
+    return PauliString(n - 1, drop(string.x_mask), drop(string.z_mask))
 
 
 def flux_from_observable(
@@ -192,14 +192,12 @@ def flux_from_observable(
     n = obs.n_qubits
     if register.n_qubits != n - 1:
         raise ValueError("register must cover every qubit except the input")
-    m = qubit_mask(n, input_qubit)
+    amps = register.amplitudes
     row = np.zeros(4, dtype=complex)
-    cols = {(0, 0): 3, (1, 0): 0, (1, 1): 1, (0, 1): 2}  # I, X, Y, Z columns
     for (x_mask, z_mask), coeff in obs.terms.items():
-        col = cols[(1 if x_mask & m else 0, 1 if z_mask & m else 0)]
-        residual = PauliString(n - 1, _drop_qubit(x_mask, n, input_qubit), _drop_qubit(z_mask, n, input_qubit))
-        amps = register.amplitudes
-        row[col] += coeff * np.vdot(amps, residual.apply(amps))
+        term = PauliString(n, x_mask, z_mask)
+        col = COL_LETTERS.index(term.letter(input_qubit))
+        row[col] += coeff * np.vdot(amps, _residual(term, input_qubit).apply(amps))
     if np.abs(row.imag).max() > 1e-10:
         raise AssertionError("flux row has a non-real component")
     return row.real
@@ -252,7 +250,7 @@ class PreparationResult:
     constraint_residual: float
 
 
-def _diagonal_flux_forms(targets=(2, 3)) -> dict[tuple[str, int], PauliString]:
+def _diagonal_flux_forms() -> dict[tuple[str, int], PauliString]:
     """Residual register strings whose expectations give the diagonal fluxes.
 
     Each evolved target operator of the copying stage is a single Pauli
@@ -261,15 +259,12 @@ def _diagonal_flux_forms(targets=(2, 3)) -> dict[tuple[str, int], PauliString]:
     """
     stage = copying_stage()
     forms = {}
-    for target in targets:
+    for target in (2, 3):
         for letter in "XYZ":
             evolved = conjugate(PauliString.from_label(3, f"{letter}{target}"), stage)
             if evolved.letter(1) != letter or evolved.phase != 1:
                 raise AssertionError("copying stage lost its diagonal flux structure")
-            residual = PauliString(
-                2, _drop_qubit(evolved.x_mask, 3, 1), _drop_qubit(evolved.z_mask, 3, 1)
-            )
-            forms[(letter, target)] = residual
+            forms[(letter, target)] = _residual(evolved, 1)
     return forms
 
 

@@ -39,10 +39,9 @@ class SummaryOutput:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    kind: str  # int | float | str | choice | int-list | float-list
+    kind: str  # int | float | choice | int-list | float-list
     default: object
     minimum: float | None = None
-    maximum: float | None = None
     choices: tuple[str, ...] | None = None
 
 
@@ -79,8 +78,9 @@ def _array_sizes(experiment: str, p: dict) -> dict[str, float]:
     if experiment == "transfer-disorder":
         sizes["the disorder surface (trials x t points)"] = _count(p["trials"]) * grids["t"]
     if experiment == "series-check":
-        table = (p["truncation_order"] + 3) * p["n_qubits"]
-        sizes["the series recurrence table ((truncation_order + 3) x n_qubits)"] = _count(table)
+        # not an array: a bound on the recurrence's site updates, held to the same limit
+        steps = (p["truncation_order"] + 3) * p["n_qubits"]
+        sizes["the series recurrence steps ((truncation_order + 3) x n_qubits)"] = _count(steps)
     return sizes
 
 

@@ -69,10 +69,6 @@ class PauliString:
             raise ValueError(f"phase must be a fourth root of unity, got {self.phase}")
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0, 0)
-
-    @classmethod
     def from_label(cls, n_qubits: int, label: str, phase: complex = 1 + 0j) -> "PauliString":
         """Build from e.g. "X1 Z3" or "X1X2X3" (1-based qubit numbers)."""
         if label.replace(" ", "") in ("", "I"):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +147,43 @@ def test_series_matches_propagator_long_chain():
     prof = CouplingProfile.uniform_eta(21, 1.0, 1.0)
     res = series_flux(prof, 30.0, 195)
     assert np.abs(res.coefficients - propagator_coefficients(prof, 30.0)).max() < 1e-8
+
+
+@st.composite
+def mixed_sign_series_cases(draw):
+    n = draw(st.integers(2, 12))
+    magnitudes = draw(st.lists(st.floats(0.2, 1.5), min_size=n - 1, max_size=n - 1))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n - 1, max_size=n - 1))
+    t = draw(st.floats(0.0, 5.0))
+    # (2 J_max t)^m / m! falls below 1e-10 well before m = 6 J_max t + 30
+    order = max(n - 1, int(6 * max(magnitudes) * t) + 30) + draw(st.integers(0, 3))
+    return CouplingProfile(n, np.multiply(signs, magnitudes)), t, order
+
+
+def _first_omitted_term(profile, t, order):
+    """max |T^m e_1 t^m / m!| over m = order + 1, order + 2, from mpmath matrix powers."""
+    n = profile.n_qubits
+    with mpmath.workdps(30):
+        T = mpmath.zeros(n, n)
+        for k, c in enumerate(profile.couplings[::-1]):
+            T[k, k + 1] = T[k + 1, k] = mpmath.mpf(float(c))
+        e1 = mpmath.zeros(n, 1)
+        e1[0] = 1
+        terms = [
+            T**m * e1 * mpmath.mpf(t) ** m / mpmath.factorial(m) for m in (order + 1, order + 2)
+        ]
+        return float(max(abs(v) for term in terms for v in term))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_sign_series_cases())
+def test_series_matches_propagator_mixed_signs(case):
+    prof, t, order = case
+    res = series_flux(prof, t, order)
+    assert np.abs(res.coefficients - propagator_coefficients(prof, t)).max() < 1e-9
+    assert res.terms_used == order
+    omitted = _first_omitted_term(prof, t, order)
+    assert res.truncation_bound == pytest.approx(omitted, rel=1e-12, abs=0)
 
 
 def test_series_truncation_guard():

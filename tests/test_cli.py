@@ -219,7 +219,7 @@ def test_main_exit_codes(tmp_path, capsys):
         ("transfer-single", f"n_qubits = {10**400}", "chain eigenvectors"),
         ("perfect-transfer", f"n_list = 4, {10**400}", "chain eigenvectors"),
         ("transfer-disorder", f"trials = {10**400}", "disorder surface"),
-        ("series-check", "truncation_order = 1000000000", "series recurrence table"),
+        ("series-check", "truncation_order = 1000000000", "series recurrence steps"),
     ],
 )
 def test_main_rejects_oversized_arrays(tmp_path, capsys, experiment, param, array):

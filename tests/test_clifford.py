@@ -54,24 +54,50 @@ def test_gate_validation():
 def test_single_gate_rules():
     cases = [
         (h(1), "X1", "Z1"),
+        (h(1), "Y1", "-Y1"),
         (h(1), "Z1", "X1"),
         (s(1), "X1", "-Y1"),
+        (s(1), "Y1", "X1"),
         (s(1), "Z1", "Z1"),
         (x(1), "Z1", "-Z1"),
+        (x(1), "Y1", "-Y1"),
         (x(1), "X1", "X1"),
         (y(1), "X1", "-X1"),
+        (y(1), "Y1", "Y1"),
         (y(1), "Z1", "-Z1"),
         (z(1), "X1", "-X1"),
+        (z(1), "Y1", "-Y1"),
         (z(1), "Z1", "Z1"),
         (cnot(1, 2), "X1", "X1X2"),
         (cnot(1, 2), "X2", "X2"),
         (cnot(1, 2), "Z1", "Z1"),
         (cnot(1, 2), "Z2", "Z1Z2"),
+        # the sign flips when x_c = z_t = 1 and x_t == z_c
+        (cnot(1, 2), "X1Z2", "-Y1Y2"),
+        (cnot(1, 2), "Y1Y2", "-X1Z2"),
+        (cnot(2, 1), "Z1X2", "-Y1Y2"),
+        (cnot(1, 2), "X1Y2", "Y1Z2"),
+        (cnot(1, 2), "Y1Z2", "X1Y2"),
     ]
     for gate, before, after in cases:
         n = max(gate.qubits)
         out = conjugate_string(PauliString.from_label(n, before), gate)
         assert out.label() == after, f"{gate.name} on {before}"
+
+
+def test_every_gate_matches_dense():
+    """Each gate on 2 and 3 qubits, every string and phase, against U^dag P U."""
+    for n in (2, 3):
+        gates = [g(q) for g in (h, s, x, y, z) for q in range(1, n + 1)]
+        gates += [cnot(c, t) for c, t in itertools.permutations(range(1, n + 1), 2)]
+        for gate in gates:
+            U = CliffordCircuit(n, [gate]).to_unitary()
+            for x_mask, z_mask in itertools.product(range(1 << n), repeat=2):
+                for phase in (1 + 0j, 1j, -1 + 0j, -1j):
+                    string = PauliString(n, x_mask, z_mask, phase)
+                    expected = U.conj().T @ string.to_matrix() @ U
+                    got = conjugate_string(string, gate).to_matrix()
+                    assert np.abs(got - expected).max() < 1e-12, f"{gate} on {string.label()}"
 
 
 def test_table1_matches_expected():

@@ -15,7 +15,6 @@ forms the powers of T.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import mpmath
@@ -316,31 +315,22 @@ def disorder_ensemble(
     eta: float,
     spec: DisorderSpec,
     t_grid: np.ndarray,
-    threads: int = 1,
 ) -> DisorderResult:
     """Monte Carlo over Gaussian coupling disorder, deterministic per seed.
 
-    Trial k draws from an independent stream keyed by (seed, k), so results
-    are bit-identical for a given spec regardless of thread count.
+    Trial k draws from an independent stream keyed by (seed, k), so any one
+    trial can be recomputed on its own.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     base = CouplingProfile.uniform_eta(n_qubits, 1.0, eta)
     surface = np.empty((spec.trials, t_grid.size))
     negative: list[int] = []
-
-    def run_trial(k: int) -> None:
+    for k in range(spec.trials):
         rng = np.random.default_rng([spec.seed, k])
         profile = CouplingProfile.disordered(base, spec.sigma_fraction, rng)
         if profile.has_negative_coupling:
             negative.append(k)
         surface[k] = np.abs(amplitude_curve(profile, t_grid))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_trial, range(spec.trials)))
-    else:
-        for k in range(spec.trials):
-            run_trial(k)
 
     argmax = surface.argmax(axis=1)
     return DisorderResult(
@@ -349,7 +339,7 @@ def disorder_ensemble(
         surface.std(axis=0),
         surface.max(axis=1),
         t_grid[argmax],
-        tuple(sorted(negative)),
+        tuple(negative),
         spec,
         eta,
     )

@@ -199,12 +199,12 @@ def _write_metadata(path: str, meta: dict[str, str]) -> None:
     _atomic_write(path, "".join(f"{k} = {v}\n" for k, v in meta.items()))
 
 
-def run(config: RunConfig, out_dir: str = ".", threads: int = 1) -> list[str]:
+def run(config: RunConfig, out_dir: str = ".") -> list[str]:
     """Execute one experiment; returns the paths written."""
     params = resolve(config)
     os.makedirs(out_dir, exist_ok=True)
     started = time.monotonic()
-    outputs = EXPERIMENTS[config.experiment](params, config.seed, threads)
+    outputs = EXPERIMENTS[config.experiment](params, config.seed)
     wall = time.monotonic() - started
     written = []
     for output in outputs:
@@ -261,14 +261,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="INI config file")
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads where supported")
+    # accepted for existing command lines; every run is single-threaded
+    parser.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
+    if args.threads != 1:
+        print("error: --threads accepts only 1: every run is single-threaded", file=sys.stderr)
         return 2
     try:
         config = load_config(args.config, args.experiment, args.seed)
-        for path in run(config, args.out, args.threads):
+        for path in run(config, args.out):
             print(path)
     except ConfigError as exc:
         for diag in exc.diagnostics:

@@ -174,30 +174,24 @@ def _residual(string: PauliString, qubit: int) -> PauliString:
 
 
 def flux_from_observable(
-    evolved: PauliObservable | PauliString,
+    evolved: PauliString,
     register: RegisterState,
     input_qubit: int,
-    target_letter: str,
 ) -> np.ndarray:
     """One FluxMatrix row: coefficients of the input's X, Y, Z, I components.
 
-    Groups the evolved observable's terms by the Pauli letter on the input
-    qubit and weights each residual string by its register expectation.
+    A Clifford image is one signed string, so the row has one nonzero entry:
+    phase * <reg|residual|reg>, in the column of the string's letter on the
+    input qubit.
     """
-    if isinstance(evolved, PauliString):
-        obs = PauliObservable(evolved.n_qubits)
-        obs.add_string(evolved)
-    else:
-        obs = evolved
-    n = obs.n_qubits
+    n = evolved.n_qubits
     if register.n_qubits != n - 1:
         raise ValueError("register must cover every qubit except the input")
     amps = register.amplitudes
     row = np.zeros(4, dtype=complex)
-    for (x_mask, z_mask), coeff in obs.terms.items():
-        term = PauliString(n, x_mask, z_mask)
-        col = COL_LETTERS.index(term.letter(input_qubit))
-        row[col] += coeff * np.vdot(amps, _residual(term, input_qubit).apply(amps))
+    col = COL_LETTERS.index(evolved.letter(input_qubit))
+    # added onto +0, so a signed zero never reaches the written row
+    row[col] += evolved.phase * np.vdot(amps, _residual(evolved, input_qubit).apply(amps))
     if np.abs(row.imag).max() > 1e-10:
         raise AssertionError("flux row has a non-real component")
     return row.real
@@ -213,7 +207,7 @@ def flux_matrix(
     rows = []
     for letter in "XYZ":
         evolved = conjugate(PauliString.from_label(circuit.n_qubits, f"{letter}{target_qubit}"), circuit)
-        rows.append(flux_from_observable(evolved, register, input_qubit, letter))
+        rows.append(flux_from_observable(evolved, register, input_qubit))
     return FluxMatrix(target_qubit, time_label, np.array(rows))
 
 

@@ -27,7 +27,7 @@ from .states import (
     DENSE_QUBIT_CAP,
     BlochVector,
     RegisterState,
-    insert_qubit,
+    input_kets,
     psi_plus_state,
 )
 
@@ -144,11 +144,6 @@ def evolve(h: SpinHamiltonian, state: RegisterState, t: float) -> RegisterState:
     return RegisterState(state.n_qubits, _propagate(h, t, state.amplitudes))
 
 
-def _input_kets(register: RegisterState, input_qubit: int) -> list[np.ndarray]:
-    """|reg,0> and |reg,1>, the input qubit inserted at `input_qubit`."""
-    return [insert_qubit(register, amps, input_qubit).amplitudes for amps in np.eye(2)]
-
-
 def _ket_readout(kets, n: int, target_qubit: int, time_label) -> FluxMatrix:
     """FluxMatrix from the two evolved input kets: R_ab = Tr_rest |psi_a><psi_b|."""
     if not 1 <= target_qubit <= n:
@@ -169,7 +164,7 @@ def unitary_flux_tomography(
     n = register.n_qubits + 1
     if U.shape != (1 << n, 1 << n):
         raise ValueError("unitary dimension does not match register plus input")
-    kets = [U @ ket for ket in _input_kets(register, input_qubit)]
+    kets = [U @ ket for ket in input_kets(register, input_qubit)]
     return _ket_readout(kets, n, target_qubit, time_label)
 
 
@@ -184,7 +179,7 @@ def flux_tomography(
     n = register.n_qubits + 1
     if n != h.n_qubits:
         raise ValueError("register plus input does not match the Hamiltonian's qubit count")
-    kets = [_propagate(h, t, ket) for ket in _input_kets(register, input_qubit)]
+    kets = [_propagate(h, t, ket) for ket in input_kets(register, input_qubit)]
     return _ket_readout(kets, n, target_qubit, t)
 
 

@@ -1,8 +1,8 @@
 """Experiment implementations behind the command-line driver.
 
-Each experiment consumes a typed parameter dict (already validated), a seed,
-and a thread count, and returns tabular and/or scalar outputs for the driver
-to serialize.  Times in chain experiments are dimensionless Jt; open-system
+Each experiment consumes a typed parameter dict (already validated) and a
+seed, and returns tabular and/or scalar outputs for the driver to
+serialize.  Times in chain experiments are dimensionless Jt; open-system
 times are in the units set by the configured rates.
 """
 
@@ -88,7 +88,7 @@ def _flux_row(fm) -> tuple:
     return tuple(float(v) for v in fm.entries.ravel())
 
 
-def run_table1(params, seed, threads):
+def run_table1(params, seed):
     cells = clifford.table1()
     rows = []
     for qubit in (1, 2, 3):
@@ -98,7 +98,7 @@ def run_table1(params, seed, threads):
     return [TableOutput("table1", ("operator", "t1", "t2", "t3", "t4"), rows)]
 
 
-def run_uqcm_circuit(params, seed, threads):
+def run_uqcm_circuit(params, seed):
     stage = clifford.copying_stage()
     register = uqcm_preparation_state()
     pole = BlochVector(0.0, 0.0, 1.0)
@@ -112,7 +112,7 @@ def run_uqcm_circuit(params, seed, threads):
     return [TableOutput("uqcm-circuit", cols, rows)]
 
 
-def run_uqcm_prep_opt(params, seed, threads):
+def run_uqcm_prep_opt(params, seed):
     result = clifford.optimize_preparation(params["constraint"], seeds=params["restarts"])
     amps = result.amplitudes
     items = {
@@ -127,7 +127,7 @@ def run_uqcm_prep_opt(params, seed, threads):
     return [SummaryOutput("uqcm-prep-opt", items)]
 
 
-def run_uqcm_chain(params, seed, threads):
+def run_uqcm_chain(params, seed):
     J = params["J"]
     h = dense.SpinHamiltonian.heisenberg_chain(params["n_qubits"], J, 2.0)
     register = psi_plus_state()
@@ -148,7 +148,7 @@ def run_uqcm_chain(params, seed, threads):
     return [TableOutput("uqcm-chain", cols, rows)]
 
 
-def run_universality_scan(params, seed, threads):
+def run_universality_scan(params, seed):
     J = params["J"]
     t_grid = _grid(params, "t") / J
     deviations = dense.universality_scan(params["lambdas"], J, t_grid)
@@ -156,7 +156,7 @@ def run_universality_scan(params, seed, threads):
     return [TableOutput("universality-scan", ("lambda", "anisotropy_deviation"), rows)]
 
 
-def run_transfer_single(params, seed, threads):
+def run_transfer_single(params, seed):
     profile = chain.CouplingProfile.uniform_eta(params["n_qubits"], 1.0, params["eta"])
     result = chain.transfer(profile, params["Jt"])
     f = result.amplitude
@@ -176,7 +176,7 @@ def run_transfer_single(params, seed, threads):
     return [SummaryOutput("transfer-single", items)]
 
 
-def run_transfer_sweep(params, seed, threads):
+def run_transfer_sweep(params, seed):
     sweep = chain.eta_sweep(params["n_qubits"], _grid(params, "eta"), _grid(params, "t"))
     rows = []
     for i, eta in enumerate(sweep.eta_grid):
@@ -192,11 +192,9 @@ def run_transfer_sweep(params, seed, threads):
     return [TableOutput("transfer-sweep", ("eta", "Jt", "abs_f", "is_argmax"), rows, extra)]
 
 
-def run_transfer_disorder(params, seed, threads):
+def run_transfer_disorder(params, seed):
     spec = chain.DisorderSpec(params["sigma"], params["trials"], seed)
-    result = chain.disorder_ensemble(
-        params["n_qubits"], params["eta"], spec, _grid(params, "t"), threads=threads
-    )
+    result = chain.disorder_ensemble(params["n_qubits"], params["eta"], spec, _grid(params, "t"))
     surface_rows = [
         (float(t), float(m), float(s))
         for t, m, s in zip(result.t_grid, result.mean_flux, result.std_flux)
@@ -221,7 +219,7 @@ def run_transfer_disorder(params, seed, threads):
     ]
 
 
-def run_perfect_transfer(params, seed, threads):
+def run_perfect_transfer(params, seed):
     lam = params["lam"]
     rows = []
     for n in params["n_list"]:
@@ -231,7 +229,7 @@ def run_perfect_transfer(params, seed, threads):
     return [TableOutput("perfect-transfer", ("n_qubits", "abs_f_at_star"), rows)]
 
 
-def run_series_check(params, seed, threads):
+def run_series_check(params, seed):
     profile = chain.CouplingProfile.uniform_eta(params["n_qubits"], 1.0, params["eta"])
     jt = params["Jt"]
     series = chain.series_flux(profile, jt, params["truncation_order"])
@@ -248,7 +246,7 @@ def run_series_check(params, seed, threads):
     return [TableOutput("series-check", cols, rows, extra)]
 
 
-def run_open_flux(params, seed, threads):
+def run_open_flux(params, seed):
     n = params["n_qubits"]
     hamiltonian = None
     if n >= 2 and params["J"] != 0:

@@ -28,7 +28,7 @@ from scipy import sparse
 from .dense import SpinHamiltonian
 from .flux import FluxMatrix, flux_readout
 from .pauli import PauliObservable, PauliString
-from .states import RegisterState, embed, insert_qubit
+from .states import RegisterState, embed, input_kets
 
 OPEN_QUBIT_CAP = 8
 TRACE_TOL = 1e-9
@@ -226,7 +226,7 @@ def open_flux_trajectory(
     the target Bloch vector.
     """
     n = register.n_qubits + 1
-    k0, k1 = (insert_qubit(register, amps, input_qubit).amplitudes for amps in np.eye(2))
+    k0, k1 = input_kets(register, input_qubit)
     units = [np.outer(a, b.conj()) for a, b in ((k0, k0), (k1, k1), (k0, k1))]
     fluxes = []
     for t, rho00, rho11, coherence in zip(t_grid, *(_evolve(u, spec, n, t_grid) for u in units)):

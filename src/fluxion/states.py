@@ -104,6 +104,11 @@ def insert_qubit(register: RegisterState, input_amplitudes, position: int) -> Re
     return RegisterState(n, full)
 
 
+def input_kets(register: RegisterState, input_qubit: int) -> list[np.ndarray]:
+    """|reg,0> and |reg,1>, the input qubit inserted at `input_qubit`."""
+    return [insert_qubit(register, amps, input_qubit).amplitudes for amps in np.eye(2)]
+
+
 def uqcm_preparation_state() -> RegisterState:
     """Two-qubit cloner preparation (2|00> + |01> + |10>)/sqrt(6)."""
     return RegisterState(2, np.array([2.0, 1.0, 1.0, 0.0]) / np.sqrt(6.0))

@@ -291,16 +291,13 @@ def test_disorder_zero_sigma_collapses():
     assert res.negative_coupling_trials == ()
 
 
-def test_disorder_deterministic_and_thread_invariant():
+def test_disorder_deterministic_per_seed():
     spec = DisorderSpec(sigma_fraction=0.08, trials=12, seed=99)
     t_grid = np.round(np.arange(0.0, 6.0, 0.1), 10)
-    a = disorder_ensemble(5, 0.6, spec, t_grid, threads=1)
-    b = disorder_ensemble(5, 0.6, spec, t_grid, threads=1)
-    c = disorder_ensemble(5, 0.6, spec, t_grid, threads=4)
+    a = disorder_ensemble(5, 0.6, spec, t_grid)
+    b = disorder_ensemble(5, 0.6, spec, t_grid)
     assert np.array_equal(a.max_fluxes, b.max_fluxes)
     assert np.array_equal(a.mean_flux, b.mean_flux)
-    assert np.array_equal(a.max_fluxes, c.max_fluxes)
-    assert np.array_equal(a.mean_flux, c.mean_flux)
     assert np.all(np.isin(a.argmax_times, t_grid))
 
 

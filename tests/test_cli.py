@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxion.chain import transfer_amplitude, CouplingProfile
 from fluxion.cli import (
@@ -15,6 +17,7 @@ from fluxion.cli import (
     run,
     validate,
 )
+from fluxion.experiments import PARAM_SPECS
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -249,20 +252,56 @@ def test_main_rejects_non_finite_floats(tmp_path, capsys, param):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_disorder_csvs_independent_of_threads(tmp_path):
+def test_threads_flag_accepts_only_one(tmp_path, capsys):
     config = write_config(
-        tmp_path,
-        "[run]\nexperiment = transfer-disorder\nseed = 42\n\n"
-        "[params]\nn_qubits = 6\ntrials = 24\nt_max = 6.0\nt_step = 0.5\n",
+        tmp_path, "[run]\nexperiment = transfer-single\n\n[params]\nJt = 1.5\n"
     )
-    data = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        argv = ["transfer-disorder", "--config", config, "--out", str(out), "--threads", threads]
-        assert main(argv) == 0
-        data[threads] = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix != ".meta"}
-    assert any(name.endswith(".csv") for name in data["1"])
-    assert data["1"] == data["2"]
+    out = tmp_path / "two"
+    assert main(["transfer-single", "--config", config, "--out", str(out), "--threads", "2"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+    out = tmp_path / "one"
+    assert main(["transfer-single", "--config", config, "--out", str(out), "--threads", "1"]) == 0
+    assert any(p.suffix == ".txt" for p in out.iterdir())
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "--threads" not in capsys.readouterr().out
+
+
+# raw config strings at and past every edge a parameter parser or range check meets
+_INT_EDGES = ("0", "-1", "9" * 4000, "-" + "9" * 4000, "1e308", "5e-324", "nan", "inf", "1.5", "", "junk")
+_FLOAT_EDGES = (
+    "0", "-0.0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "9" * 4000, "", "junk"
+)
+
+
+def _raw_value(spec):
+    if spec.kind == "choice":
+        return st.sampled_from(spec.choices + ("", "junk"))
+    if spec.kind.startswith("int"):
+        scalar = st.one_of(st.integers(-5, 10**4).map(str), st.sampled_from(_INT_EDGES))
+    else:
+        scalar = st.one_of(
+            st.floats(-1e3, 1e3).map(repr), st.floats().map(repr), st.sampled_from(_FLOAT_EDGES)
+        )
+    if spec.kind.endswith("list"):
+        return st.one_of(
+            st.lists(scalar, max_size=4).map(", ".join), st.sampled_from(("", ",", " , ", "junk,"))
+        )
+    return scalar
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validate_returns_diagnostics_and_never_raises(data):
+    experiment = data.draw(st.sampled_from(sorted(PARAM_SPECS)), label="experiment")
+    specs = PARAM_SPECS[experiment]
+    keys = data.draw(st.lists(st.sampled_from(sorted(specs)), unique=True)) if specs else []
+    params = {key: data.draw(_raw_value(specs[key]), label=key) for key in keys}
+    seed = data.draw(st.integers(-1, 2**65), label="seed")
+    diagnostics = validate(RunConfig(experiment, params, seed))
+    assert isinstance(diagnostics, list)
+    assert all(isinstance(d, str) and d for d in diagnostics)
 
 
 def test_run_writes_no_timestamp_in_data(tmp_path):

@@ -166,16 +166,16 @@ def test_conjugate_observable_keeps_coefficients():
 
 def test_flux_row_at_identity_circuit():
     evolved = PauliString.from_label(3, "X1")
-    row = flux_from_observable(evolved, uqcm_preparation_state(), 1, "X")
+    row = flux_from_observable(evolved, uqcm_preparation_state(), 1)
     assert row == pytest.approx([1, 0, 0, 0])
 
 
 def test_flux_row_groups_by_input_letter():
     # X1 X2 seen from input qubit 1 contributes <X2>_reg to the X column
     reg = RegisterState(2, np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2))  # |0>|+>
-    row = flux_from_observable(PauliString.from_label(3, "X1X3"), reg, 1, "X")
+    row = flux_from_observable(PauliString.from_label(3, "X1X3"), reg, 1)
     assert row == pytest.approx([1, 0, 0, 0])
-    row = flux_from_observable(PauliString.from_label(3, "X1X2"), reg, 1, "X")
+    row = flux_from_observable(PauliString.from_label(3, "X1X2"), reg, 1)
     assert row == pytest.approx([0, 0, 0, 0])
 
 

@@ -251,14 +251,14 @@ DEFAULT_ETA_GRID = np.round(np.arange(0.10, 1.0 + 1e-9, 0.01), 10)
 DEFAULT_TIME_GRID = np.round(np.arange(0.0, 60.0 + 1e-9, 0.05), 10)
 
 
-def first_arrival_window(n_qubits: int, step: float = 0.05) -> np.ndarray:
+def first_arrival_window(n_qubits: int) -> np.ndarray:
     """Time grid covering the first transfer peak but not slow revivals.
 
     The ballistic front needs Jt of order N/2; the margin keeps the peak of
     weak-eta profiles inside the window.  Restricting the argmax search to
     this window makes the per-N optimum comparable across chain lengths.
     """
-    return np.round(np.arange(0.0, 0.55 * n_qubits + 3.0 + 1e-9, step), 10)
+    return np.round(np.arange(0.0, 0.55 * n_qubits + 3.0 + 1e-9, 0.05), 10)
 
 
 @dataclass(frozen=True)

@@ -38,14 +38,6 @@ class RunConfig:
     seed: int = 0
 
 
-@dataclass
-class ResultTable:
-    name: str
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    metadata: dict[str, str]
-
-
 def load_config(path: str, experiment: str, seed_override: int | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str  # parameter names are case-sensitive (Jt, J)
@@ -226,30 +218,6 @@ def run(config: RunConfig, out_dir: str = ".") -> list[str]:
         _write_metadata(path + ".meta", meta)
         written.extend([path, path + ".meta"])
     return written
-
-
-def read_table(path: str) -> ResultTable:
-    """Re-parse a written CSV and its sidecar into a ResultTable."""
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip() != ""]
-    columns = tuple(lines[0].split(","))
-    rows = [tuple(line.split(",")) for line in lines[1:]]
-    metadata = {}
-    meta_path = path + ".meta"
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            for line in fh:
-                if " = " in line:
-                    key, value = line.split(" = ", 1)
-                    metadata[key.strip()] = value.rstrip("\n")
-    return ResultTable(os.path.basename(path).rsplit(".", 1)[0], columns, rows, metadata)
-
-
-def config_from_metadata(metadata: dict[str, str]) -> RunConfig:
-    params = {
-        key[len("param."):]: value for key, value in metadata.items() if key.startswith("param.")
-    }
-    return RunConfig(metadata["experiment"], params, int(metadata["seed"]))
 
 
 def main(argv: list[str] | None = None) -> int:

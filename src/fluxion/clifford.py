@@ -6,7 +6,8 @@ gate inward.  Each gate updates a string's (x_mask, z_mask, phase) by one
 exact rule, the tableau updates of Aaronson and Gottesman, Phys. Rev. A 70,
 052328 (2004): a single-qubit gate maps the X, Y or Z letter on its qubit to
 a signed letter, and CNOT(c, t) sets x_t ^= x_c and z_c ^= z_t, flipping
-the sign when x_c = z_t = 1 and x_t = z_c.
+the sign when x_c = z_t = 1 and x_t = z_c.  The dense circuit unitary the
+rules are tested against is `circuit_unitary` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .flux import COL_LETTERS, FluxMatrix
 from .pauli import _LETTER_BITS, PauliObservable, PauliString, qubit_mask
-from .states import RegisterState, embed
+from .states import RegisterState
 
 GATE_NAMES = ("CNOT", "H", "S", "X", "Y", "Z")
 
@@ -75,24 +76,6 @@ class CliffordCircuit:
 
     def prefix(self, n_gates: int) -> "CliffordCircuit":
         return CliffordCircuit(self.n_qubits, self.gates[:n_gates])
-
-    def inverse(self) -> "CliffordCircuit":
-        inv: list[Gate] = []
-        for g in reversed(self.gates):
-            if g.name == "S":
-                # S^-1 = Z S
-                inv.extend([Gate("S", g.qubits), Gate("Z", g.qubits)])
-            else:
-                inv.append(g)
-        return CliffordCircuit(self.n_qubits, inv)
-
-    def to_unitary(self) -> np.ndarray:
-        """Dense unitary of the whole circuit (test oracle; small n only)."""
-        dim = 1 << self.n_qubits
-        U = np.eye(dim, dtype=complex)
-        for g in self.gates:
-            U = _gate_unitary(g, self.n_qubits) @ U
-        return U
 
 
 def copying_stage() -> CliffordCircuit:
@@ -209,26 +192,6 @@ def flux_matrix(
         evolved = conjugate(PauliString.from_label(circuit.n_qubits, f"{letter}{target_qubit}"), circuit)
         rows.append(flux_from_observable(evolved, register, input_qubit))
     return FluxMatrix(target_qubit, time_label, np.array(rows))
-
-
-def _gate_unitary(gate: Gate, n: int) -> np.ndarray:
-    dim = 1 << n
-    if gate.name == "CNOT":
-        c, t = gate.qubits
-        cb, tb = n - c, n - t
-        U = np.zeros((dim, dim), dtype=complex)
-        for i in range(dim):
-            j = i ^ (1 << tb) if (i >> cb) & 1 else i
-            U[j, i] = 1.0
-        return U
-    mats = {
-        "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-        "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    return embed(mats[gate.name], gate.qubits[0], n)
 
 
 # --- preparation-state optimization ---------------------------------------

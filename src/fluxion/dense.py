@@ -7,10 +7,12 @@ commutes with total Z, it is diagonalized block by block, one block per
 excitation-number sector; otherwise as one block.  Evolution is exact and
 runs sector by sector, skipping the sectors a state does not touch.  The flux
 is read directly from the two evolved basis kets U|reg,0> and U|reg,1> of the
-input qubit, with no propagator formed; four-input tomography
-(`flux.solve_affine`) is kept as the test oracle.  This is both a production
-path for few-qubit chains and the oracle the large-N single-excitation engine
-is checked against.
+input qubit, with no propagator formed.  `propagator`,
+`unitary_flux_tomography` and four-input tomography (`flux.solve_affine`)
+are test oracles; they stay in the package while perfbench/tracing.py wraps
+them by name, and the other oracles are in tests/oracles.py.  This is both
+a production path for few-qubit chains and the oracle the large-N
+single-excitation engine is checked against.
 """
 
 from __future__ import annotations

@@ -129,7 +129,7 @@ def run_uqcm_prep_opt(params, seed):
 
 def run_uqcm_chain(params, seed):
     J = params["J"]
-    h = dense.SpinHamiltonian.heisenberg_chain(params["n_qubits"], J, 2.0)
+    h = dense.SpinHamiltonian.heisenberg_chain(3, J, 2.0)
     register = psi_plus_state()
     pole = BlochVector(0.0, 0.0, 1.0)
     rows = []
@@ -288,7 +288,6 @@ PARAM_SPECS: dict[str, dict[str, ParamSpec]] = {
         "restarts": ParamSpec("int", 12, minimum=1),
     },
     "uqcm-chain": {
-        "n_qubits": ParamSpec("int", 3, minimum=2),
         "J": ParamSpec("float", 1.0),
         "t_min": ParamSpec("float", 0.0, minimum=0.0),
         "t_max": ParamSpec("float", 1.82, minimum=0.0),
@@ -325,7 +324,7 @@ PARAM_SPECS: dict[str, dict[str, ParamSpec]] = {
         "t_step": ParamSpec("float", 0.05),
     },
     "perfect-transfer": {
-        "n_list": ParamSpec("int-list", (4, 7, 32, 101)),
+        "n_list": ParamSpec("int-list", (4, 7, 32, 101), minimum=2),
         "lam": ParamSpec("float", 1.0),
     },
     "series-check": {
@@ -365,13 +364,6 @@ def cross_checks(experiment: str, p: dict) -> list[str]:
             out.append(
                 f"{largest} would have {sizes[largest]:.3g} elements, more than {MAX_ARRAY_ELEMENTS:.0e}"
             )
-    if experiment == "uqcm-chain":
-        if p["n_qubits"] > dense.DENSE_QUBIT_CAP:
-            out.append(
-                f"n_qubits={p['n_qubits']} exceeds the dense-evolution cap of {dense.DENSE_QUBIT_CAP}"
-            )
-        elif p["n_qubits"] != 3:
-            out.append("n_qubits must be 3: the cloner chain has one input and two output sites")
     if experiment in ("uqcm-chain", "universality-scan"):
         # the Jt grid becomes times t = Jt / J
         if p["J"] == 0:
@@ -390,11 +382,8 @@ def cross_checks(experiment: str, p: dict) -> list[str]:
         out.append(
             f"truncation_order={p['truncation_order']} cannot reach site {p['n_qubits']}"
         )
-    if experiment == "perfect-transfer":
-        if p["lam"] <= 0:
-            out.append("lam must be positive")
-        if any(n < 2 for n in p["n_list"]):
-            out.append("every entry of n_list must be >= 2")
+    if experiment == "perfect-transfer" and p["lam"] <= 0:
+        out.append("lam must be positive")
     if experiment in ("transfer-single", "transfer-sweep", "transfer-disorder"):
         if "eta" in p and p["eta"] <= 0:
             out.append("eta must be positive")

@@ -9,7 +9,9 @@ The dense and open engines read M and c directly, with `flux_readout`, from
 the target's reduced blocks of the evolved input units |0><0|, |1><1| and
 |0><1|; the map is linear in the input's density matrix, so those units fix
 it.  `solve_affine`, the four-input least-squares tomography over
-`TOMOGRAPHY_INPUTS`, is kept as the oracle the read-out is tested against.
+`TOMOGRAPHY_INPUTS`, is the oracle the read-out is tested against; it stays
+in the package while perfbench/tracing.py wraps it by name, and the other
+oracles are in tests/oracles.py.
 """
 
 from __future__ import annotations

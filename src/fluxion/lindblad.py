@@ -6,15 +6,16 @@ adaptive high-order stepping.  `_master_equation` assembles the generator,
 from the pieces `_generator_pieces` returns, once per spec and qubit count as
 one sparse CSR matrix on the row-major vec(rho), caches it on the spec, and
 hands every integration the same right-hand side: one sparse product.  The
-dense `np.kron` superoperator is kept as a cross-check oracle.
+dense `np.kron` superoperator it is checked against is `superoperator` in
+tests/oracles.py.
 
 Every entry point runs through `_evolve`, which integrates each interval of
 an ascending grid of times t >= 0 once.  `open_flux_trajectory` reads the
 flux at every grid time from three evolved operator units of the input
 qubit, |0><0|, |1><1| and |0><1| (|1><0| is the adjoint of the evolved
 |0><1|); the two diagonal units pass the `DensityMatrix` checks at every
-time.  `open_flux_tomography` is its one-time case, and four-input
-tomography is kept as the test oracle.
+time.  `open_flux_tomography` is its one-time case; four-input tomography
+(`flux.solve_affine`) is the test oracle.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ class DensityMatrix:
     def from_state(cls, state: RegisterState) -> "DensityMatrix":
         v = state.amplitudes
         return cls(state.n_qubits, np.outer(v, v.conj()))
-
-    def purity(self) -> float:
-        return float(np.trace(self.entries @ self.entries).real)
 
 
 def reduced_qubit(rho: DensityMatrix, qubit: int) -> np.ndarray:
@@ -262,15 +260,3 @@ def expectation_trajectory(
             raise AssertionError(f"non-real expectation {val}")
         values.append(val.real)
     return np.array(values)
-
-
-def superoperator(spec: LindbladSpec, n_qubits: int) -> np.ndarray:
-    """Dense generator on row-major vectorized density matrices (oracle use)."""
-    H, jumps, anticomm = _generator_pieces(spec, n_qubits)
-    dim = 1 << n_qubits
-    eye = np.eye(dim, dtype=complex)
-    L_total = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    for L in jumps:
-        L_total += np.kron(L, L.conj())
-    L_total -= 0.5 * (np.kron(anticomm, eye) + np.kron(eye, anticomm.T))
-    return L_total

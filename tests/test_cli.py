@@ -9,10 +9,8 @@ from fluxion.chain import transfer_amplitude, CouplingProfile
 from fluxion.cli import (
     ConfigError,
     RunConfig,
-    config_from_metadata,
     load_config,
     main,
-    read_table,
     resolve,
     run,
     validate,
@@ -64,10 +62,10 @@ def test_validate_collects_diagnostics():
     diags = validate(RunConfig("transfer-disorder", {"sigma": "-0.5", "trials": "0"}))
     assert any("sigma" in d for d in diags)
     assert any("trials" in d for d in diags)
-    diags = validate(RunConfig("uqcm-chain", {"n_qubits": "20"}))
-    assert any("cap" in d for d in diags)
-    diags = validate(RunConfig("uqcm-chain", {"n_qubits": "4"}))
-    assert any("must be 3" in d for d in diags)
+    diags = validate(RunConfig("uqcm-chain", {"n_qubits": "3"}))
+    assert diags == ["unknown parameter 'n_qubits' for uqcm-chain"]
+    diags = validate(RunConfig("perfect-transfer", {"n_list": "1, 4"}))
+    assert len(diags) == 1 and "n_list" in diags[0]
     diags = validate(RunConfig("open-flux", {"n_qubits": "2", "target_qubit": "5"}))
     assert any("target_qubit" in d for d in diags)
     diags = validate(RunConfig("table1", {"stray": "1"}))
@@ -101,16 +99,13 @@ def test_run_table1_and_read_back(tmp_path):
     paths = run(config, out_dir=str(tmp_path))
     csvs = [p for p in paths if p.endswith(".csv")]
     assert len(csvs) == 1
-    table = read_table(csvs[0])
-    assert table.columns[0] == "operator"
-    assert len(table.rows) == 6
-    lookup = {row[0]: row[1:] for row in table.rows}
+    with open(csvs[0]) as fh:
+        header, *rows = [tuple(line.rstrip("\n").split(",")) for line in fh]
+    assert header[0] == "operator"
+    assert len(rows) == 6
+    lookup = {row[0]: row[1:] for row in rows}
     assert lookup["X1"] == ("X1X2", "X1X2X3", "X1X2X3", "X1X2X3")
     assert lookup["Z2"] == ("Z1Z2", "Z1Z2", "Z1Z2", "Z1Z2")
-    assert table.metadata["experiment"] == "table1"
-    restored = config_from_metadata(table.metadata)
-    assert restored.experiment == "table1"
-    assert restored.seed == 0
 
 
 def test_reruns_byte_identical(tmp_path):
@@ -167,8 +162,6 @@ def test_metadata_sidecar_contents(tmp_path):
     assert meta["seed"] == "5"
     assert meta["param.Jt"] == "1.0"  # raw config string, not a reformatted value
     assert "created_utc" in meta and "wall_time_s" in meta
-    restored = config_from_metadata(meta)
-    assert resolve(restored)["Jt"] == 1.0
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -28,6 +28,7 @@ from fluxion.clifford import (
 from fluxion.flux import cloning_fidelity
 from fluxion.pauli import PauliObservable, PauliString
 from fluxion.states import BlochVector, RegisterState, product_state, uqcm_preparation_state
+from oracles import circuit_unitary
 
 # the copying stage's evolved single-qubit operators after each CNOT
 EXPECTED_TABLE = {
@@ -91,7 +92,7 @@ def test_every_gate_matches_dense():
         gates = [g(q) for g in (h, s, x, y, z) for q in range(1, n + 1)]
         gates += [cnot(c, t) for c, t in itertools.permutations(range(1, n + 1), 2)]
         for gate in gates:
-            U = CliffordCircuit(n, [gate]).to_unitary()
+            U = circuit_unitary(CliffordCircuit(n, [gate]))
             for x_mask, z_mask in itertools.product(range(1 << n), repeat=2):
                 for phase in (1 + 0j, 1j, -1 + 0j, -1j):
                     string = PauliString(n, x_mask, z_mask, phase)
@@ -132,7 +133,7 @@ def pauli_strings(n):
 @given(circuits(3), pauli_strings(3))
 def test_conjugation_matches_dense(circuit, string):
     """U^dag P U computed symbolically equals the dense matrix product."""
-    U = circuit.to_unitary()
+    U = circuit_unitary(circuit)
     expected = U.conj().T @ string.to_matrix() @ U
     assert np.abs(conjugate(string, circuit).to_matrix() - expected).max() < 1e-12
 
@@ -145,21 +146,13 @@ def test_conjugation_is_homomorphism(circuit, a, b):
     assert (left.x_mask, left.z_mask, left.phase) == (right.x_mask, right.z_mask, right.phase)
 
 
-@settings(max_examples=40, deadline=None)
-@given(circuits(3), pauli_strings(3))
-def test_circuit_inverse_round_trip(circuit, string):
-    forward = conjugate(string, circuit)
-    back = conjugate(forward, circuit.inverse())
-    assert (back.x_mask, back.z_mask, back.phase) == (string.x_mask, string.z_mask, string.phase)
-
-
 def test_conjugate_observable_keeps_coefficients():
     obs = PauliObservable(3)
     obs.add_string(PauliString.from_label(3, "X1"), 0.25)
     obs.add_string(PauliString.from_label(3, "Z2"), -1.5)
     out = conjugate(obs, copying_stage())
     dense = sum(coeff * PauliString(3, xm, zm).to_matrix() for (xm, zm), coeff in out.terms.items())
-    U = copying_stage().to_unitary()
+    U = circuit_unitary(copying_stage())
     expected = U.conj().T @ (0.25 * PauliString.from_label(3, "X1").to_matrix() - 1.5 * PauliString.from_label(3, "Z2").to_matrix()) @ U
     assert np.abs(dense - expected).max() < 1e-12
 
@@ -200,7 +193,7 @@ def test_flux_matches_output_bloch_directly():
     """M r_in + c reproduces the target qubit's actual output Bloch vector."""
     reg = uqcm_preparation_state()
     stage = copying_stage()
-    U = stage.to_unitary()
+    U = circuit_unitary(stage)
     rng = np.random.default_rng(23)
     for target in (2, 3):
         fm = flux_matrix(stage, reg, 1, target)

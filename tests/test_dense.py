@@ -26,6 +26,7 @@ from fluxion.states import (
     psi_plus_state,
     uqcm_preparation_state,
 )
+from oracles import circuit_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -174,7 +175,7 @@ def test_psi_plus_is_the_unique_optimal_register():
 def test_cross_engine_circuit_tomography():
     """Dense tomography of the composed CNOT unitary equals the symbolic fluxes."""
     stage = copying_stage()
-    U = stage.to_unitary()
+    U = circuit_unitary(stage)
     register = uqcm_preparation_state()
     for target in (2, 3):
         dense_fm = unitary_flux_tomography(U, 1, register, target)

@@ -15,11 +15,11 @@ from fluxion.lindblad import (
     open_flux_tomography,
     open_flux_trajectory,
     reduced_qubit,
-    superoperator,
 )
 from fluxion.flux import solve_affine
 from fluxion.pauli import PauliString
 from fluxion.states import TOMOGRAPHY_INPUTS, BlochVector, RegisterState, insert_qubit, psi_plus_state
+from oracles import purity, superoperator
 
 
 def plus_density():
@@ -38,7 +38,7 @@ def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(1, np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex))  # NaN coherence
     rho = DensityMatrix.from_state(psi_plus_state())
-    assert rho.purity() == pytest.approx(1.0)
+    assert purity(rho) == pytest.approx(1.0)
     assert np.abs(reduced_qubit(rho, 1) - np.eye(2) / 2).max() < 1e-12
 
 
@@ -94,7 +94,7 @@ def test_zero_rates_reduce_to_unitary():
     U = propagator(h, 1.7)
     expected = U @ np.outer(state.amplitudes, state.amplitudes.conj()) @ U.conj().T
     assert np.abs(rho.entries - expected).max() < 1e-8
-    assert rho.purity() == pytest.approx(1.0, abs=1e-8)
+    assert purity(rho) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_matches_superoperator_exponential():
@@ -123,7 +123,7 @@ def test_dephasing_purity_monotone():
     ts = np.linspace(0.0, 4.0, 12)
     purities = []
     for t in ts:
-        purities.append(evolve_density(plus_density(), spec, float(t)).purity())
+        purities.append(purity(evolve_density(plus_density(), spec, float(t))))
     diffs = np.diff(np.array(purities))
     assert np.all(diffs <= 1e-9)
     x_end = np.exp(-2 * 0.3 * ts[-1])

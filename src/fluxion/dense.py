@@ -1,7 +1,7 @@
 """Full Hilbert-space dynamics for spin-chain Hamiltonians.
 
-Small registers only.  The Hamiltonian is assembled sparse from the
-signed-permutation entries of its Pauli terms.  When no entry couples basis
+Small registers only.  The Hamiltonian is assembled sparse from its Pauli
+words by `pauli._terms_sparse`.  When no entry couples basis
 states of different excitation number (popcount), as for every chain that
 commutes with total Z, it is diagonalized block by block, one block per
 excitation-number sector; otherwise as one block.  Evolution is exact and
@@ -24,7 +24,7 @@ from scipy import sparse
 
 from .chain import CouplingProfile
 from .flux import FluxMatrix, cloning_fidelity, flux_readout
-from .pauli import PauliString, _signed_permutation
+from .pauli import PauliString, _terms_sparse
 from .states import (
     DENSE_QUBIT_CAP,
     BlochVector,
@@ -72,23 +72,8 @@ class SpinHamiltonian:
         return cls(n, tuple(terms))
 
     def _sparse(self) -> sparse.coo_array:
-        """H as COO: every term's signed-permutation entries, duplicates summed.
-
-        Summing before anything reads the pattern matters: XX and YY each
-        couple |00> and |11>, and only their sum cancels those entries.
-        """
-        dim = 1 << self.n_qubits
-        cols = [np.empty(0, dtype=np.int64)]
-        vals = [np.empty(0, dtype=complex)]
-        for coupling, s in self.terms:
-            idx, v = _signed_permutation(self.n_qubits, s.x_mask, s.z_mask, coupling * s.phase)
-            cols.append(idx)
-            vals.append(v)
-        rows = np.tile(np.arange(dim), len(self.terms))
-        H = sparse.coo_array((np.concatenate(vals), (rows, np.concatenate(cols))), shape=(dim, dim))
-        H.sum_duplicates()
-        H.eliminate_zeros()
-        return H
+        """H as COO, assembled from its Pauli words by `pauli._terms_sparse`."""
+        return _terms_sparse(self.n_qubits, [(s.x_mask, s.z_mask, c * s.phase) for c, s in self.terms])
 
     def to_matrix(self) -> np.ndarray:
         return self._sparse().toarray()

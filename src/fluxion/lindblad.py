@@ -3,11 +3,13 @@
 Standard-form Lindblad generator with per-qubit amplitude damping (optionally
 thermal) and pure dephasing.  Density matrices are integrated directly with
 adaptive high-order stepping.  `_master_equation` assembles the generator,
-from the pieces `_generator_pieces` returns, once per spec and qubit count as
-one sparse CSR matrix on the row-major vec(rho), caches it on the spec, and
-hands every integration the same right-hand side: one sparse product.  The
-dense `np.kron` superoperator it is checked against is `superoperator` in
-tests/oracles.py.
+from the sparse pieces `_generator_pieces` returns, once per spec and qubit
+count as one sparse CSR matrix on the row-major vec(rho), caches it on the
+spec, and hands every integration the same right-hand side: one sparse
+product.  Its Hamiltonian and jumps (sigma- = (X + iY)/2, sigma+ = (X - iY)/2
+and Z per qubit) are Pauli-word sums assembled by `pauli._terms_sparse`.  The
+dense superoperator it is checked against, `superoperator` in
+tests/oracles.py, builds all its pieces independently from 2x2 matrices.
 
 Every entry point runs through `_evolve`, which integrates each interval of
 an ascending grid of times t >= 0 once.  `open_flux_trajectory` reads the
@@ -28,8 +30,8 @@ from scipy import sparse
 
 from .dense import SpinHamiltonian
 from .flux import FluxMatrix, flux_readout
-from .pauli import PauliObservable, PauliString
-from .states import RegisterState, embed, input_kets
+from .pauli import PauliObservable, PauliString, _terms_sparse, qubit_mask
+from .states import RegisterState, input_kets
 
 OPEN_QUBIT_CAP = 8
 TRACE_TOL = 1e-9
@@ -37,11 +39,6 @@ HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
 RTOL = 1e-10
 ATOL = 1e-12
-
-_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -98,43 +95,47 @@ class LindbladSpec:
     hamiltonian: SpinHamiltonian | None = None
 
     def __post_init__(self):
-        if not (self.damping_rate >= 0 and self.dephasing_rate >= 0 and self.n_bar >= 0):
-            raise ValueError("rates and occupation must be >= 0")
+        rates = (self.damping_rate, self.dephasing_rate, self.n_bar)
+        if not all(np.isfinite(r) and r >= 0 for r in rates):
+            raise ValueError(f"rates and occupation must be finite and >= 0, got {rates}")
 
-    def jump_operators(self, n_qubits: int) -> list[np.ndarray]:
-        ops = []
+    def jump_operators(self, n_qubits: int) -> list[sparse.coo_array]:
+        """Per qubit, as Pauli words: sigma- = (X + iY)/2, sigma+ = (X - iY)/2 if n_bar > 0, and Z."""
+        lower = np.sqrt(self.damping_rate * (self.n_bar + 1))
+        raise_ = np.sqrt(self.damping_rate * self.n_bar)
+        dephase = np.sqrt(self.dephasing_rate)
+        words = []
         for q in range(1, n_qubits + 1):
+            m = qubit_mask(n_qubits, q)
             if self.damping_rate > 0:
-                ops.append(np.sqrt(self.damping_rate * (self.n_bar + 1)) * embed(_SIGMA_MINUS, q, n_qubits))
+                words.append([(m, 0, 0.5 * lower), (m, m, 0.5j * lower)])
                 if self.n_bar > 0:
-                    ops.append(np.sqrt(self.damping_rate * self.n_bar) * embed(_SIGMA_PLUS, q, n_qubits))
+                    words.append([(m, 0, 0.5 * raise_), (m, m, -0.5j * raise_)])
             if self.dephasing_rate > 0:
-                ops.append(np.sqrt(self.dephasing_rate) * embed(_SIGMA_Z, q, n_qubits))
-        return ops
-
-    def hamiltonian_matrix(self, n_qubits: int) -> np.ndarray:
-        if self.hamiltonian is None:
-            dim = 1 << n_qubits
-            return np.zeros((dim, dim), dtype=complex)
-        if self.hamiltonian.n_qubits != n_qubits:
-            raise ValueError("Hamiltonian qubit count mismatch")
-        return self.hamiltonian.to_matrix()
+                words.append([(0, m, dephase)])
+        return [_terms_sparse(n_qubits, w) for w in words]
 
 
 def _generator_pieces(spec: LindbladSpec, n: int):
-    H = spec.hamiltonian_matrix(n)
+    """Sparse H, jump operators L and K = sum_L L^dag L."""
+    h = spec.hamiltonian
+    if h is not None and h.n_qubits != n:
+        raise ValueError("Hamiltonian qubit count mismatch")
+    H = _terms_sparse(n, []) if h is None else h._sparse()
     jumps = spec.jump_operators(n)
-    anticomm = sum((L.conj().T @ L for L in jumps), np.zeros_like(H))
+    # K = J^dag J with J the jumps stacked, one product; the empty block keeps J defined without jumps
+    J = sparse.vstack([_terms_sparse(n, []), *jumps])
+    anticomm = J.conj().T @ J
     return H, jumps, anticomm
 
 
 def _sparse_generator(spec: LindbladSpec, n: int) -> sparse.csr_array:
     """-i(H x I - I x H^T) + sum_L L x L* - (K x I + I x K^T)/2, K = sum_L L^dag L."""
     H, jumps, anticomm = _generator_pieces(spec, n)
-    eye = np.eye(1 << n)
+    eye = _terms_sparse(n, [(0, 0, 1.0)])
     factors = [(-1j * H, eye), (eye, 1j * H.T), (-0.5 * anticomm, eye), (eye, -0.5 * anticomm.T)]
     factors += [(L, L.conj()) for L in jumps]
-    blocks = [sparse.kron(sparse.coo_array(A), sparse.coo_array(B), format="coo") for A, B in factors]
+    blocks = [sparse.kron(A, B, format="coo") for A, B in factors]
     # duplicate (row, col) entries are summed when the triplets are converted
     data = np.concatenate([b.data for b in blocks])
     rows = np.concatenate([b.row for b in blocks])

@@ -7,8 +7,9 @@ explicit phase in {1, i, -1, -i}; a qubit with both mask bits set carries
 Y = i X Z.  Phase +-1 therefore means the operator is Hermitian.
 
 Every word is a signed permutation matrix.  `_signed_permutation` is the one
-index/sign kernel: both `apply` methods gather through it, and both
-`to_matrix` methods scatter its entries into a dense matrix.
+index/sign kernel: both `apply` methods gather through it, and
+`_terms_sparse`, the one place an operator matrix is assembled, sums its
+entries into a sparse matrix that both `to_matrix` methods densify.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -39,15 +41,26 @@ def _signed_permutation(n_qubits: int, x_mask: int, z_mask: int, coefficient: co
     return idx, (coefficient * PHASES[(x_mask & z_mask).bit_count() % 4]) * signs
 
 
-def _terms_matrix(n_qubits: int, terms) -> np.ndarray:
-    """Dense sum of (x_mask, z_mask, coefficient) words, added in the given order."""
+def _terms_sparse(n_qubits: int, terms) -> sparse.coo_array:
+    """COO sum of (x_mask, z_mask, coefficient) words, duplicates summed, exact zeros dropped.
+
+    Summing before anything reads the pattern matters: XX and YY each couple
+    |00> and |11>, and only their sum cancels those entries.
+    """
     dim = 1 << n_qubits
-    rows = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
+    cols = [np.empty(0, dtype=np.int64)]
+    vals = [np.empty(0, dtype=complex)]
     for x_mask, z_mask, coefficient in terms:
-        idx, vals = _signed_permutation(n_qubits, x_mask, z_mask, coefficient)
-        out[rows, idx] += vals
-    return out
+        idx, v = _signed_permutation(n_qubits, x_mask, z_mask, coefficient)
+        cols.append(idx)
+        vals.append(v)
+    # int32 indices, as scipy picks for a matrix read from a dense array; kron products inherit them
+    rows = np.tile(np.arange(dim, dtype=np.int32), len(cols) - 1)
+    cols = np.concatenate(cols).astype(np.int32)
+    M = sparse.coo_array((np.concatenate(vals), (rows, cols)), shape=(dim, dim))
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    return M
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,7 +150,7 @@ class PauliString:
         return vals * amplitudes[idx]
 
     def to_matrix(self) -> np.ndarray:
-        return _terms_matrix(self.n_qubits, [(self.x_mask, self.z_mask, self.phase)])
+        return _terms_sparse(self.n_qubits, [(self.x_mask, self.z_mask, self.phase)]).toarray()
 
 
 @dataclass(slots=True)
@@ -171,7 +184,7 @@ class PauliObservable:
         return out
 
     def to_matrix(self) -> np.ndarray:
-        return _terms_matrix(self.n_qubits, ((x, z, c) for (x, z), c in self.terms.items()))
+        return _terms_sparse(self.n_qubits, ((x, z, c) for (x, z), c in self.terms.items())).toarray()
 
 
 def expectation(obs: PauliObservable | PauliString, state) -> complex:

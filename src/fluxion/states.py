@@ -1,9 +1,8 @@
 """Register states: dense vectors, named preparations, Bloch extraction.
 
 Qubit 1 is the most significant bit of the amplitude index; this is the one
-ordering constant of the package and is not configurable.  `embed` is the one
-embedding of a single-qubit operator into a register, and `bloch_components`
-the one 2x2 -> Bloch formula.
+ordering constant of the package and is not configurable.  `bloch_components`
+is the one 2x2 -> Bloch formula.
 """
 
 from __future__ import annotations
@@ -132,14 +131,6 @@ def reduced_qubit(state: RegisterState, qubit: int) -> np.ndarray:
 
 def bloch_of_qubit(state: RegisterState, qubit: int) -> BlochVector:
     return BlochVector.of_reduced(reduced_qubit(state, qubit))
-
-
-def embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """The 2x2 operator op acting on 1-based `qubit` of n, identity elsewhere."""
-    out = np.eye(1, dtype=complex)
-    for pos in range(1, n + 1):
-        out = np.kron(out, op if pos == qubit else np.eye(2, dtype=complex))
-    return out
 
 
 # the four tomography inputs: |0>, |1>, |+>, |+i>

@@ -7,8 +7,7 @@ small registers only.  Tests import it as `from oracles import ...`.
 import numpy as np
 
 from fluxion.clifford import CliffordCircuit, Gate
-from fluxion.lindblad import DensityMatrix, LindbladSpec, _generator_pieces
-from fluxion.states import embed
+from fluxion.lindblad import DensityMatrix, LindbladSpec
 
 _GATE_MATRICES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -17,6 +16,16 @@ _GATE_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
+_SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
+
+
+def embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """The 2x2 operator op acting on 1-based `qubit` of n, identity elsewhere."""
+    out = np.eye(1, dtype=complex)
+    for pos in range(1, n + 1):
+        out = np.kron(out, op if pos == qubit else np.eye(2, dtype=complex))
+    return out
 
 
 def _gate_unitary(gate: Gate, n: int) -> np.ndarray:
@@ -42,9 +51,23 @@ def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:
 
 
 def superoperator(spec: LindbladSpec, n_qubits: int) -> np.ndarray:
-    """Dense Lindblad generator on row-major vectorized density matrices."""
-    H, jumps, anticomm = _generator_pieces(spec, n_qubits)
+    """Dense Lindblad generator on row-major vectorized density matrices.
+
+    Built from its own pieces: dense H, the jump operators embedded from 2x2
+    matrices in the order lower, raise, dephase per qubit, and K summed dense.
+    """
     dim = 1 << n_qubits
+    h = spec.hamiltonian
+    H = np.zeros((dim, dim), dtype=complex) if h is None else h.to_matrix()
+    jumps = []
+    for q in range(1, n_qubits + 1):
+        if spec.damping_rate > 0:
+            jumps.append(np.sqrt(spec.damping_rate * (spec.n_bar + 1)) * embed(_SIGMA_MINUS, q, n_qubits))
+            if spec.n_bar > 0:
+                jumps.append(np.sqrt(spec.damping_rate * spec.n_bar) * embed(_SIGMA_PLUS, q, n_qubits))
+        if spec.dephasing_rate > 0:
+            jumps.append(np.sqrt(spec.dephasing_rate) * embed(_GATE_MATRICES["Z"], q, n_qubits))
+    anticomm = sum((L.conj().T @ L for L in jumps), np.zeros((dim, dim), dtype=complex))
     eye = np.eye(dim, dtype=complex)
     L_total = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
     for L in jumps:

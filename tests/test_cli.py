@@ -216,6 +216,7 @@ def test_main_exit_codes(tmp_path, capsys):
         ("perfect-transfer", f"n_list = 4, {10**400}", "chain eigenvectors"),
         ("transfer-disorder", f"trials = {10**400}", "disorder surface"),
         ("series-check", "truncation_order = 1000000000", "series recurrence steps"),
+        ("series-check", "Jt = 1e308", "series working digits"),  # was an OverflowError, exit 1
     ],
 )
 def test_main_rejects_oversized_arrays(tmp_path, capsys, experiment, param, array):

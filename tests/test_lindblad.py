@@ -49,8 +49,12 @@ def test_spec_validation():
         LindbladSpec(0.1, -0.2)
     with pytest.raises(ValueError):
         LindbladSpec(0.1, 0.2, n_bar=-1.0)
-    with pytest.raises(ValueError):
-        LindbladSpec(np.nan, 0.0)  # would silently drop every damping jump
+    # nan would silently drop every damping jump; inf filled the generator with nan and the
+    # integrator never finished
+    for bad in (np.inf, -np.inf, np.nan):
+        for rates in ((bad, 0.0), (0.1, bad), (0.1, 0.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                LindbladSpec(*rates)
     spec = LindbladSpec(0.0, 0.0)
     assert spec.jump_operators(1) == []
 

@@ -41,6 +41,8 @@ class CouplingProfile:
         arr = np.asarray(self.couplings, dtype=float).copy()
         if arr.shape != (self.n_qubits - 1,):
             raise ValueError(f"expected {self.n_qubits - 1} couplings, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"couplings must be finite, got {arr}")
         arr.setflags(write=False)
         object.__setattr__(self, "couplings", arr)
 
@@ -88,9 +90,9 @@ class DisorderSpec:
     seed: int
 
     def __post_init__(self):
-        if self.sigma_fraction < 0:
-            raise ValueError("sigma_fraction must be >= 0")
-        if self.trials < 1:
+        if not (np.isfinite(self.sigma_fraction) and self.sigma_fraction >= 0):
+            raise ValueError(f"sigma_fraction must be finite and >= 0, got {self.sigma_fraction}")
+        if not (self.trials >= 1):
             raise ValueError("trials must be >= 1")
 
 

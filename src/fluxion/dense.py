@@ -7,7 +7,8 @@ commutes with total Z, it is diagonalized block by block, one block per
 excitation-number sector; otherwise as one block.  Evolution is exact and
 runs sector by sector, skipping the sectors a state does not touch.  The flux
 is read directly from the two evolved basis kets U|reg,0> and U|reg,1> of the
-input qubit, with no propagator formed.  `propagator`,
+input qubit, with no propagator formed, through the one ket partial trace
+`states._reduced_blocks`.  `propagator`,
 `unitary_flux_tomography` and four-input tomography (`flux.solve_affine`)
 are test oracles; they stay in the package while perfbench/tracing.py wraps
 them by name, and the other oracles are in tests/oracles.py.  This is both
@@ -29,6 +30,7 @@ from .states import (
     DENSE_QUBIT_CAP,
     BlochVector,
     RegisterState,
+    _reduced_blocks,
     input_kets,
     psi_plus_state,
 )
@@ -131,15 +133,6 @@ def evolve(h: SpinHamiltonian, state: RegisterState, t: float) -> RegisterState:
     return RegisterState(state.n_qubits, _propagate(h, t, state.amplitudes))
 
 
-def _ket_readout(kets, n: int, target_qubit: int, time_label) -> FluxMatrix:
-    """FluxMatrix from the two evolved input kets: R_ab = Tr_rest |psi_a><psi_b|."""
-    if not 1 <= target_qubit <= n:
-        raise ValueError(f"target qubit {target_qubit} out of range 1..{n}")
-    psi = np.stack(kets).reshape(2, 1 << (target_qubit - 1), 2, 1 << (n - target_qubit))
-    R = np.einsum("xaib,yajb->xyij", psi, psi.conj())
-    return flux_readout(R[0, 0], R[1, 1], R[0, 1], target_qubit, time_label)
-
-
 def unitary_flux_tomography(
     U: np.ndarray,
     input_qubit: int,
@@ -152,7 +145,8 @@ def unitary_flux_tomography(
     if U.shape != (1 << n, 1 << n):
         raise ValueError("unitary dimension does not match register plus input")
     kets = [U @ ket for ket in input_kets(register, input_qubit)]
-    return _ket_readout(kets, n, target_qubit, time_label)
+    R = _reduced_blocks(kets, n, target_qubit)
+    return flux_readout(R[0, 0], R[1, 1], R[0, 1], target_qubit, time_label)
 
 
 def flux_tomography(
@@ -167,7 +161,8 @@ def flux_tomography(
     if n != h.n_qubits:
         raise ValueError("register plus input does not match the Hamiltonian's qubit count")
     kets = [_propagate(h, t, ket) for ket in input_kets(register, input_qubit)]
-    return _ket_readout(kets, n, target_qubit, t)
+    R = _reduced_blocks(kets, n, target_qubit)
+    return flux_readout(R[0, 0], R[1, 1], R[0, 1], target_qubit, t)
 
 
 def uqcm_chain_fidelity(J: float, t: float) -> float:

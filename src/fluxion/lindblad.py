@@ -2,14 +2,15 @@
 
 Standard-form Lindblad generator with per-qubit amplitude damping (optionally
 thermal) and pure dephasing.  Density matrices are integrated directly with
-adaptive high-order stepping.  `_master_equation` assembles the generator,
-from the sparse pieces `_generator_pieces` returns, once per spec and qubit
-count as one sparse CSR matrix on the row-major vec(rho), caches it on the
-spec, and hands every integration the same right-hand side: one sparse
-product.  Its Hamiltonian and jumps (sigma- = (X + iY)/2, sigma+ = (X - iY)/2
-and Z per qubit) are Pauli-word sums assembled by `pauli._terms_sparse`.  The
+adaptive high-order stepping.  `_generator` builds the generator S once per
+spec and qubit count, as one sparse CSR matrix on the row-major vec(rho),
+caches it on the spec and returns it; every integration's right-hand side is
+the one sparse product S @ y.  Its pieces come from `_generator_pieces`: the
+Hamiltonian and, per qubit, the jumps sigma- = (X + iY)/2, sigma+ = (X - iY)/2
+if n_bar > 0, and Z, all Pauli-word sums assembled by `pauli._terms_sparse`.  The
 dense superoperator it is checked against, `superoperator` in
 tests/oracles.py, builds all its pieces independently from 2x2 matrices.
+`_partial_trace` is the one partial trace of a density matrix.
 
 Every entry point runs through `_evolve`, which integrates each interval of
 an ascending grid of times t >= 0 once.  `open_flux_trajectory` reads the
@@ -66,16 +67,10 @@ class DensityMatrix:
         return cls(state.n_qubits, np.outer(v, v.conj()))
 
 
-def reduced_qubit(rho: DensityMatrix, qubit: int) -> np.ndarray:
-    return _partial_trace(rho.entries, rho.n_qubits, qubit)
-
-
 def _partial_trace(entries: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    """2x2 block of one qubit, every other qubit traced out."""
-    if not 1 <= qubit <= n:
-        raise ValueError("qubit index out of range")
+    """2x2 block of one qubit of an n-qubit operator, every other qubit traced out."""
+    after = qubit_mask(n, qubit)  # raises unless 1 <= qubit <= n
     before = 1 << (qubit - 1)
-    after = 1 << (n - qubit)
     r = entries.reshape(before, 2, after, before, 2, after)
     return np.einsum("aibajb->ij", r)
 
@@ -99,49 +94,51 @@ class LindbladSpec:
         if not all(np.isfinite(r) and r >= 0 for r in rates):
             raise ValueError(f"rates and occupation must be finite and >= 0, got {rates}")
 
-    def jump_operators(self, n_qubits: int) -> list[sparse.coo_array]:
-        """Per qubit, as Pauli words: sigma- = (X + iY)/2, sigma+ = (X - iY)/2 if n_bar > 0, and Z."""
-        lower = np.sqrt(self.damping_rate * (self.n_bar + 1))
-        raise_ = np.sqrt(self.damping_rate * self.n_bar)
-        dephase = np.sqrt(self.dephasing_rate)
-        words = []
-        for q in range(1, n_qubits + 1):
-            m = qubit_mask(n_qubits, q)
-            if self.damping_rate > 0:
-                words.append([(m, 0, 0.5 * lower), (m, m, 0.5j * lower)])
-                if self.n_bar > 0:
-                    words.append([(m, 0, 0.5 * raise_), (m, m, -0.5j * raise_)])
-            if self.dephasing_rate > 0:
-                words.append([(0, m, dephase)])
-        return [_terms_sparse(n_qubits, w) for w in words]
-
 
 def _generator_pieces(spec: LindbladSpec, n: int):
-    """Sparse H, jump operators L and K = sum_L L^dag L."""
+    """Sparse H, the jump operators L (none for a zero rate) and K = sum_L L^dag L."""
     h = spec.hamiltonian
     if h is not None and h.n_qubits != n:
         raise ValueError("Hamiltonian qubit count mismatch")
     H = _terms_sparse(n, []) if h is None else h._sparse()
-    jumps = spec.jump_operators(n)
+    lower = np.sqrt(spec.damping_rate * (spec.n_bar + 1))
+    raise_ = np.sqrt(spec.damping_rate * spec.n_bar)
+    dephase = np.sqrt(spec.dephasing_rate)
+    words = []
+    for q in range(1, n + 1):
+        m = qubit_mask(n, q)
+        if spec.damping_rate > 0:
+            words.append([(m, 0, 0.5 * lower), (m, m, 0.5j * lower)])
+            if spec.n_bar > 0:
+                words.append([(m, 0, 0.5 * raise_), (m, m, -0.5j * raise_)])
+        if spec.dephasing_rate > 0:
+            words.append([(0, m, dephase)])
+    jumps = [_terms_sparse(n, w) for w in words]
     # K = J^dag J with J the jumps stacked, one product; the empty block keeps J defined without jumps
     J = sparse.vstack([_terms_sparse(n, []), *jumps])
-    anticomm = J.conj().T @ J
-    return H, jumps, anticomm
+    return H, jumps, J.conj().T @ J
 
 
-def _sparse_generator(spec: LindbladSpec, n: int) -> sparse.csr_array:
-    """-i(H x I - I x H^T) + sum_L L x L* - (K x I + I x K^T)/2, K = sum_L L^dag L."""
-    H, jumps, anticomm = _generator_pieces(spec, n)
-    eye = _terms_sparse(n, [(0, 0, 1.0)])
-    factors = [(-1j * H, eye), (eye, 1j * H.T), (-0.5 * anticomm, eye), (eye, -0.5 * anticomm.T)]
-    factors += [(L, L.conj()) for L in jumps]
-    blocks = [sparse.kron(A, B, format="coo") for A, B in factors]
-    # duplicate (row, col) entries are summed when the triplets are converted
-    data = np.concatenate([b.data for b in blocks])
-    rows = np.concatenate([b.row for b in blocks])
-    cols = np.concatenate([b.col for b in blocks])
-    size = 1 << 2 * n
-    return sparse.csr_array((data, (rows, cols)), shape=(size, size))
+def _generator(spec: LindbladSpec, n: int) -> sparse.csr_array:
+    """S = -i(H x I - I x H^T) + sum_L L x L* - (K x I + I x K^T)/2 on the row-major vec(rho).
+
+    Built on the first call for each n and stored on the frozen spec, so every
+    later integration with that spec reuses it.
+    """
+    generators = vars(spec).setdefault("_generators", {})
+    if n not in generators:
+        H, jumps, K = _generator_pieces(spec, n)
+        eye = _terms_sparse(n, [(0, 0, 1.0)])
+        factors = [(-1j * H, eye), (eye, 1j * H.T), (-0.5 * K, eye), (eye, -0.5 * K.T)]
+        factors += [(L, L.conj()) for L in jumps]
+        blocks = [sparse.kron(A, B, format="coo") for A, B in factors]
+        # duplicate (row, col) entries are summed when the triplets are converted
+        data = np.concatenate([b.data for b in blocks])
+        rows = np.concatenate([b.row for b in blocks])
+        cols = np.concatenate([b.col for b in blocks])
+        size = 1 << 2 * n
+        generators[n] = sparse.csr_array((data, (rows, cols)), shape=(size, size))
+    return generators[n]
 
 
 def solve_ivp(fun, t_span, y0, **options):
@@ -153,26 +150,6 @@ def solve_ivp(fun, t_span, y0, **options):
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(fun, t_span, y0, **options)
-
-
-def _master_equation(spec: LindbladSpec, n: int):
-    """d rho / dt on the row-major flattened density matrix, for solve_ivp.
-
-    The sparse generator is built on the first call for each n and stored on
-    the frozen spec, so every later integration with that spec reuses it.
-    """
-    generators = getattr(spec, "_generators", None)
-    if generators is None:
-        generators = {}
-        object.__setattr__(spec, "_generators", generators)
-    S = generators.get(n)
-    if S is None:
-        S = generators[n] = _sparse_generator(spec, n)
-
-    def rhs(_, y):
-        return S @ y
-
-    return rhs
 
 
 def _evolve(entries: np.ndarray, spec: LindbladSpec, n: int, t_grid):
@@ -188,12 +165,12 @@ def _evolve(entries: np.ndarray, spec: LindbladSpec, n: int, t_grid):
         raise ValueError("times must be >= 0")
     if not (np.diff(t_grid) >= 0).all():
         raise ValueError("time grid must be ascending")
-    rhs = _master_equation(spec, n)
+    S = _generator(spec, n)
     y = entries.ravel().astype(complex)
     start = 0.0
     for t in t_grid:
         if t > start:
-            sol = solve_ivp(rhs, (start, float(t)), y, method="DOP853", rtol=RTOL, atol=ATOL)
+            sol = solve_ivp(lambda _, v: S @ v, (start, float(t)), y, method="DOP853", rtol=RTOL, atol=ATOL)
             gc.collect(1)  # the finished solver is a reference cycle holding (16, 4^n) stage arrays
             if not sol.success:
                 raise RuntimeError(f"density-matrix integration failed: {sol.message}")
@@ -226,10 +203,11 @@ def open_flux_trajectory(
     """
     n = register.n_qubits + 1
     k0, k1 = input_kets(register, input_qubit)
+    qubit_mask(n, target_qubit)  # rejects an out-of-range target before anything is integrated
     units = [np.outer(a, b.conj()) for a, b in ((k0, k0), (k1, k1), (k0, k1))]
     fluxes = []
     for t, rho00, rho11, coherence in zip(t_grid, *(_evolve(u, spec, n, t_grid) for u in units)):
-        r00, r11 = (reduced_qubit(_density(n, rho), target_qubit) for rho in (rho00, rho11))
+        r00, r11 = (_partial_trace(_density(n, rho).entries, n, target_qubit) for rho in (rho00, rho11))
         r01 = _partial_trace(coherence, n, target_qubit)
         fluxes.append(flux_readout(r00, r11, r01, target_qubit, float(t)))
     return fluxes
@@ -257,7 +235,7 @@ def expectation_trajectory(
     values = []
     for rho in _evolve(rho0.entries, spec, rho0.n_qubits, t_grid):
         val = complex(np.trace(M @ rho))
-        if abs(val.imag) > 1e-7:
-            raise AssertionError(f"non-real expectation {val}")
+        if not (abs(val.imag) <= 1e-7 and np.isfinite(val)):
+            raise AssertionError(f"non-real or non-finite expectation {val}")
         values.append(val.real)
     return np.array(values)

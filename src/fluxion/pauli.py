@@ -168,6 +168,8 @@ class PauliObservable:
     def add_string(self, s: PauliString, coefficient: complex = 1.0) -> None:
         if s.n_qubits != self.n_qubits:
             raise ValueError("qubit count mismatch")
+        if not np.isfinite(coefficient):
+            raise ValueError(f"coefficients must be finite, got {coefficient}")
         key = (s.x_mask, s.z_mask)
         self.terms[key] = self.terms.get(key, 0.0) + coefficient * s.phase
         if abs(self.terms[key]) < PRUNE_TOL:

@@ -1,8 +1,9 @@
 """Register states: dense vectors, named preparations, Bloch extraction.
 
 Qubit 1 is the most significant bit of the amplitude index; this is the one
-ordering constant of the package and is not configurable.  `bloch_components`
-is the one 2x2 -> Bloch formula.
+ordering constant of the package and is not configurable.  `_reduced_blocks`
+is the one partial trace of kets, behind `reduced_qubit` and the dense flux
+read-out, and `bloch_components` is the one 2x2 -> Bloch formula.
 """
 
 from __future__ import annotations
@@ -118,15 +119,17 @@ def psi_plus_state() -> RegisterState:
     return RegisterState(2, np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0))
 
 
-def reduced_qubit(state: RegisterState, qubit: int) -> np.ndarray:
-    """2x2 reduced density matrix of one qubit."""
-    n = state.n_qubits
+def _reduced_blocks(kets, n: int, qubit: int) -> np.ndarray:
+    """R[x, y] = Tr_rest |ket_x><ket_y| of one qubit, for a stack (or list) of n-qubit kets."""
     if not 1 <= qubit <= n:
         raise ValueError(f"qubit {qubit} out of range 1..{n}")
-    before = 1 << (qubit - 1)
-    after = 1 << (n - qubit)
-    psi = state.amplitudes.reshape(before, 2, after)
-    return np.einsum("aib,ajb->ij", psi, psi.conj())
+    psi = np.reshape(kets, (-1, 1 << (qubit - 1), 2, 1 << (n - qubit)))
+    return np.einsum("xaib,yajb->xyij", psi, psi.conj())
+
+
+def reduced_qubit(state: RegisterState, qubit: int) -> np.ndarray:
+    """2x2 reduced density matrix of one qubit."""
+    return _reduced_blocks(state.amplitudes, state.n_qubits, qubit)[0, 0]
 
 
 def bloch_of_qubit(state: RegisterState, qubit: int) -> BlochVector:

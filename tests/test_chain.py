@@ -33,6 +33,10 @@ def test_profile_validation():
         prof.couplings[0] = 9.0
     assert not prof.has_negative_coupling
     assert np.allclose(prof.reversed().couplings, prof.couplings[::-1])
+    # unchecked, nan fails far from its source: in eigh_tridiagonal or as int(nan) in series_flux
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CouplingProfile(3, [bad, 1.0])
 
 
 def test_perfect_profile_shape():
@@ -278,6 +282,11 @@ def test_disorder_spec_validation():
         DisorderSpec(sigma_fraction=-0.1, trials=10, seed=1)
     with pytest.raises(ValueError):
         DisorderSpec(sigma_fraction=0.1, trials=0, seed=1)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DisorderSpec(sigma_fraction=bad, trials=3, seed=0)
+    with pytest.raises(ValueError):
+        DisorderSpec(sigma_fraction=0.1, trials=np.nan, seed=0)
 
 
 def test_disorder_zero_sigma_collapses():

@@ -8,17 +8,24 @@ import fluxion.lindblad as lindblad
 from fluxion.chain import CouplingProfile, flux_components, transfer_amplitude
 from fluxion.dense import SpinHamiltonian, flux_tomography, propagator
 from fluxion.lindblad import (
+    _partial_trace,
     DensityMatrix,
     LindbladSpec,
     evolve_density,
     expectation_trajectory,
     open_flux_tomography,
     open_flux_trajectory,
-    reduced_qubit,
 )
 from fluxion.flux import solve_affine
-from fluxion.pauli import PauliString
-from fluxion.states import TOMOGRAPHY_INPUTS, BlochVector, RegisterState, insert_qubit, psi_plus_state
+from fluxion.pauli import PauliObservable, PauliString
+from fluxion.states import (
+    TOMOGRAPHY_INPUTS,
+    BlochVector,
+    RegisterState,
+    insert_qubit,
+    psi_plus_state,
+    reduced_qubit,
+)
 from oracles import purity, superoperator
 
 
@@ -39,7 +46,7 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex))  # NaN coherence
     rho = DensityMatrix.from_state(psi_plus_state())
     assert purity(rho) == pytest.approx(1.0)
-    assert np.abs(reduced_qubit(rho, 1) - np.eye(2) / 2).max() < 1e-12
+    assert np.abs(_partial_trace(rho.entries, 2, 1) - np.eye(2) / 2).max() < 1e-12
 
 
 def test_spec_validation():
@@ -55,8 +62,8 @@ def test_spec_validation():
         for rates in ((bad, 0.0), (0.1, bad), (0.1, 0.0, bad)):
             with pytest.raises(ValueError, match="finite"):
                 LindbladSpec(*rates)
-    spec = LindbladSpec(0.0, 0.0)
-    assert spec.jump_operators(1) == []
+    _, jumps, _ = lindblad._generator_pieces(LindbladSpec(0.0, 0.0), 1)
+    assert jumps == []
 
 
 def test_damping_population_law():
@@ -80,7 +87,7 @@ def test_thermal_steady_state():
     nbar = 0.7
     spec = LindbladSpec(1.5, 0.0, n_bar=nbar)
     rho = evolve_density(DensityMatrix.from_state(RegisterState.computational(1, 0)), spec, 40.0)
-    z = BlochVector.of_reduced(reduced_qubit(rho, 1)).z
+    z = BlochVector.of_reduced(_partial_trace(rho.entries, 1, 1)).z
     assert z == pytest.approx(1 / (2 * nbar + 1), abs=1e-8)
     # thermal occupation adds an upward jump, accelerating coherence decay
     ts = np.linspace(0.0, 4.0, 15)
@@ -156,6 +163,9 @@ def test_trajectory_edge_cases():
         open_flux_tomography(spec, -0.5, 1, RegisterState.empty(), 1)
     with pytest.raises(ValueError):
         open_flux_trajectory(spec, [0.5, -0.5], 1, RegisterState.empty(), 1)
+    # a nan coefficient set directly, past add_string, must not come back as a nan expectation
+    with pytest.raises(AssertionError, match="non-finite"):
+        expectation_trajectory(spec, PauliObservable(1, {(0, 1): np.nan}), rho0, ts)
 
 
 def test_open_tomography_single_qubit():
@@ -237,17 +247,18 @@ def test_sparse_generator_matches_superoperator(case, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     vec = (a + a.conj().T).ravel()
-    rhs = lindblad._master_equation(spec, n)
-    assert np.abs(rhs(0.0, vec) - superoperator(spec, n) @ vec).max() < 1e-12
+    S = lindblad._generator(spec, n)
+    assert np.abs(S @ vec - superoperator(spec, n) @ vec).max() < 1e-12
 
 
 def four_input_open_tomography(spec, t, input_qubit, register, target_qubit):
     """Oracle: evolve the four pure inputs and fit the affine map by least squares."""
+    n = register.n_qubits + 1
     outputs = {}
     for key, amps in TOMOGRAPHY_INPUTS.items():
         rho0 = DensityMatrix.from_state(insert_qubit(register, amps, input_qubit))
         rho = evolve_density(rho0, spec, t)
-        outputs[key] = BlochVector.of_reduced(reduced_qubit(rho, target_qubit)).as_array()
+        outputs[key] = BlochVector.of_reduced(_partial_trace(rho.entries, n, target_qubit)).as_array()
     return solve_affine(outputs, target_qubit, t)
 
 
@@ -285,6 +296,31 @@ def test_three_integrations_per_tomography(monkeypatch):
     fluxes = open_flux_trajectory(spec, [0.0, 0.3, 0.3, 0.6, 1.0], 1, register, 3)
     assert len(fluxes) == 5
     assert calls == [(0.0, 0.3)] * 3 + [(0.3, 0.6)] * 3 + [(0.6, 1.0)] * 3
+
+
+@pytest.mark.parametrize("bad", [0, 4])
+def test_out_of_range_qubit_rejected(monkeypatch, bad):
+    """Input or target qubit 0 or n + 1 raises, in the open engine before any integration."""
+    calls = []
+    original = lindblad.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad, "solve_ivp", counted)
+    h = SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(3, 1.0, 0.8))
+    spec = LindbladSpec(0.2, 0.05, 0.1, h)
+    register = RegisterState.computational(2, 0)
+    message = f"{bad} out of range 1..3"
+    for input_qubit, target_qubit in ((bad, 3), (1, bad)):
+        with pytest.raises(ValueError, match=message):
+            flux_tomography(h, 0.6, input_qubit, register, target_qubit)
+        with pytest.raises(ValueError, match=message):
+            open_flux_tomography(spec, 5.0, input_qubit, register, target_qubit)
+    with pytest.raises(ValueError, match=message):
+        reduced_qubit(RegisterState.computational(3, 0), bad)
+    assert calls == []
 
 
 def test_generator_built_once_per_spec(monkeypatch):
@@ -358,7 +394,7 @@ def test_thermal_chain_trajectory_matches_exponential():
         outputs = {}
         for key, vec in vecs.items():
             rho = DensityMatrix(n, vec.reshape(1 << n, 1 << n))
-            outputs[key] = BlochVector.of_reduced(reduced_qubit(rho, n)).as_array()
+            outputs[key] = BlochVector.of_reduced(_partial_trace(rho.entries, n, n)).as_array()
             vecs[key] = step @ vec
         worst = max(worst, np.abs(fm.entries - solve_affine(outputs, n, t).entries).max())
     assert worst < 1e-10

@@ -146,6 +146,14 @@ def test_observable_apply_matches_matrix():
     assert np.allclose(obs.apply(v), obs.to_matrix() @ v)
 
 
+def test_observable_rejects_non_finite_coefficient():
+    obs = PauliObservable(1)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            obs.add_string(PauliString.from_label(1, "Z1"), bad)
+    assert obs.terms == {}
+
+
 def test_expectation_requires_normalization():
     s = PauliString.from_label(1, "Z1")
     with pytest.raises(ValueError):

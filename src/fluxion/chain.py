@@ -15,6 +15,7 @@ forms the powers of T.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import mpmath
@@ -92,7 +93,11 @@ class DisorderSpec:
     def __post_init__(self):
         if not (np.isfinite(self.sigma_fraction) and self.sigma_fraction >= 0):
             raise ValueError(f"sigma_fraction must be finite and >= 0, got {self.sigma_fraction}")
-        if not (self.trials >= 1):
+        try:
+            trials = operator.index(self.trials)
+        except TypeError:
+            raise ValueError(f"trials must be an integer, got {self.trials!r}") from None
+        if trials < 1:
             raise ValueError("trials must be >= 1")
 
 
@@ -182,6 +187,8 @@ def series_flux(profile: CouplingProfile, t: float, truncation_order: int) -> Se
     entry of u over m = order + 1 and order + 2, and must beat the 1e-10
     target, otherwise the truncation is rejected.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got t={t}")
     n = profile.n_qubits
     if truncation_order < n - 1:
         raise TruncationError(f"order {truncation_order} cannot reach site {n}")
@@ -324,6 +331,8 @@ def disorder_ensemble(
     trial can be recomputed on its own.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        raise ValueError("grids must be non-empty")
     base = CouplingProfile.uniform_eta(n_qubits, 1.0, eta)
     surface = np.empty((spec.trials, t_grid.size))
     negative: list[int] = []

@@ -1,8 +1,9 @@
-"""Heisenberg-picture conjugation through Clifford circuits and circuit fluxes.
+"""Heisenberg-picture conjugation of Pauli strings through Clifford circuits,
+and circuit fluxes.
 
-Gates are listed in execution order; the evolved operator is U^dag Sigma U
-with U = g_m ... g_1, so conjugation walks the gate list from the newest
-gate inward.  Each gate updates a string's (x_mask, z_mask, phase) by one
+Gates are listed in execution order; the evolved string is U^dag P U with
+U = g_m ... g_1, so conjugation walks the gate list from the newest gate
+inward.  Each gate updates a string's (x_mask, z_mask, phase) by one
 exact rule, the tableau updates of Aaronson and Gottesman, Phys. Rev. A 70,
 052328 (2004): a single-qubit gate maps the X, Y or Z letter on its qubit to
 a signed letter, and CNOT(c, t) sets x_t ^= x_c and z_c ^= z_t, flipping
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flux import COL_LETTERS, FluxMatrix
-from .pauli import _LETTER_BITS, PauliObservable, PauliString, qubit_mask
+from .pauli import _LETTER_BITS, PauliString, qubit_mask
 from .states import RegisterState
 
 GATE_NAMES = ("CNOT", "H", "S", "X", "Y", "Z")
@@ -117,19 +118,13 @@ def conjugate_string(string: PauliString, gate: Gate) -> PauliString:
     return PauliString(n, (x_mask & ~m) | bx * m, (z_mask & ~m) | bz * m, sign * phase)
 
 
-def conjugate(obs: PauliObservable | PauliString, circuit: CliffordCircuit):
-    """Heisenberg image of obs through the whole circuit."""
-    n = obs.n_qubits
-    if n != circuit.n_qubits:
+def conjugate(string: PauliString, circuit: CliffordCircuit) -> PauliString:
+    """Heisenberg image U^dag string U of a Pauli string through the whole circuit."""
+    if string.n_qubits != circuit.n_qubits:
         raise ValueError("qubit count mismatch")
-    if isinstance(obs, PauliObservable):
-        out = PauliObservable(n)
-        for (x_mask, z_mask), coeff in obs.terms.items():
-            out.add_string(conjugate(PauliString(n, x_mask, z_mask), circuit), coeff)
-        return out
     for gate in reversed(circuit.gates):
-        obs = conjugate_string(obs, gate)
-    return obs
+        string = conjugate_string(string, gate)
+    return string
 
 
 def table1() -> dict[tuple[str, int], list[PauliString]]:
@@ -207,33 +202,25 @@ class PreparationResult:
     constraint_residual: float
 
 
-def _diagonal_flux_forms() -> dict[tuple[str, int], PauliString]:
-    """Residual register strings whose expectations give the diagonal fluxes.
+def _diagonal_flux_matrices() -> np.ndarray:
+    """The copying stage's diagonal fluxes as a (6, 4, 4) stack of register
+    forms, in the order X2, Y2, Z2, X3, Y3, Z3.
 
-    Each evolved target operator of the copying stage is a single Pauli
-    string whose input-qubit letter matches the target letter, so the
-    diagonal flux equals one register expectation.
+    Each evolved target string has the target's letter on the input qubit
+    and phase +1, so its diagonal flux is the register expectation of its
+    residual string: the quadratic form v.Qv for a real register v.  Every
+    residual string of the copying stage is real, so each Q is a real
+    symmetric matrix.
     """
     stage = copying_stage()
-    forms = {}
+    mats = []
     for target in (2, 3):
         for letter in "XYZ":
             evolved = conjugate(PauliString.from_label(3, f"{letter}{target}"), stage)
             if evolved.letter(1) != letter or evolved.phase != 1:
                 raise AssertionError("copying stage lost its diagonal flux structure")
-            forms[(letter, target)] = _residual(evolved, 1)
-    return forms
-
-
-def _diagonal_flux_matrices() -> np.ndarray:
-    """The `_diagonal_flux_forms` strings as a (6, 4, 4) stack, in their order
-    X2, Y2, Z2, X3, Y3, Z3.
-
-    For a real register v the diagonal fluxes are the quadratic forms v.Qv.
-    Every residual string of the copying stage is real, so each Q is a real
-    symmetric matrix.
-    """
-    mats = np.stack([s.to_matrix() for s in _diagonal_flux_forms().values()])
+            mats.append(_residual(evolved, 1).to_matrix())
+    mats = np.stack(mats)
     if np.abs(mats.imag).max() > 0:
         raise AssertionError("copying stage lost its real diagonal flux forms")
     return mats.real

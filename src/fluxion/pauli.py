@@ -1,4 +1,4 @@
-"""Exact algebra of N-qubit Pauli strings and sparse Pauli observables.
+"""N-qubit Pauli strings and sparse Pauli observables as (x_mask, z_mask) words.
 
 Bit convention used everywhere in this package: qubit 1 is the most
 significant bit, so qubit j of an n-qubit system owns mask bit (n - j).
@@ -63,6 +63,19 @@ def _terms_sparse(n_qubits: int, terms) -> sparse.coo_array:
     return M
 
 
+def _check_word(n_qubits: int, x_mask: int, z_mask: int) -> None:
+    if n_qubits < 0:
+        raise ValueError("n_qubits must be nonnegative")
+    for name, mask in (("x_mask", x_mask), ("z_mask", z_mask)):
+        if not 0 <= mask < 1 << n_qubits:
+            raise ValueError(f"{name} {mask} out of range 0..{(1 << n_qubits) - 1} for {n_qubits} qubits")
+
+
+def _check_coefficient(coefficient: complex) -> None:
+    if not np.isfinite(coefficient):
+        raise ValueError(f"coefficients must be finite, got {coefficient}")
+
+
 @dataclass(frozen=True, slots=True)
 class PauliString:
     """A tensor product of single-qubit Paulis with a global phase."""
@@ -73,11 +86,7 @@ class PauliString:
     phase: complex = 1 + 0j
 
     def __post_init__(self):
-        if self.n_qubits < 0:
-            raise ValueError("n_qubits must be nonnegative")
-        top = 1 << self.n_qubits
-        if not (0 <= self.x_mask < top and 0 <= self.z_mask < top):
-            raise ValueError("mask out of range for qubit count")
+        _check_word(self.n_qubits, self.x_mask, self.z_mask)
         if self.phase not in PHASES:
             raise ValueError(f"phase must be a fourth root of unity, got {self.phase}")
 
@@ -115,33 +124,6 @@ class PauliString:
         sign = {1 + 0j: "", 1j: "i", -1 + 0j: "-", -1j: "-i"}[self.phase]
         return sign + (word or "I")
 
-    @property
-    def weight(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
-
-    def multiply(self, other: "PauliString") -> "PauliString":
-        """Group product self * other; phase stays a fourth root of unity."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit count mismatch")
-        cx = self.x_mask ^ other.x_mask
-        cz = self.z_mask ^ other.z_mask
-        # i-exponent from recanonicalizing X^a Z^b words and commuting Z past X
-        k = (
-            (self.x_mask & self.z_mask).bit_count()
-            + (other.x_mask & other.z_mask).bit_count()
-            - (cx & cz).bit_count()
-            + 2 * (self.z_mask & other.x_mask).bit_count()
-        )
-        return PauliString(self.n_qubits, cx, cz, self.phase * other.phase * PHASES[k % 4])
-
-    __mul__ = multiply
-
-    def commutes(self, other: "PauliString") -> bool:
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit count mismatch")
-        sym = (self.x_mask & other.z_mask).bit_count() + (self.z_mask & other.x_mask).bit_count()
-        return sym % 2 == 0
-
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """Apply to a dense state vector (length 2^n)."""
         if amplitudes.shape != (1 << self.n_qubits,):
@@ -159,17 +141,23 @@ class PauliObservable:
 
     Terms map (x_mask, z_mask) to a coefficient; the phase of each word is
     the canonical i^{|x & z|} factor, so a real-coefficient observable is
-    Hermitian.  Stored zero coefficients are pruned below PRUNE_TOL.
+    Hermitian.  Masks and coefficients are checked on construction, and
+    `add_string` prunes stored coefficients below PRUNE_TOL.
     """
 
     n_qubits: int
     terms: dict[tuple[int, int], complex] = field(default_factory=dict)
 
+    def __post_init__(self):
+        _check_word(self.n_qubits, 0, 0)
+        for (x_mask, z_mask), coefficient in self.terms.items():
+            _check_word(self.n_qubits, x_mask, z_mask)
+            _check_coefficient(coefficient)
+
     def add_string(self, s: PauliString, coefficient: complex = 1.0) -> None:
         if s.n_qubits != self.n_qubits:
             raise ValueError("qubit count mismatch")
-        if not np.isfinite(coefficient):
-            raise ValueError(f"coefficients must be finite, got {coefficient}")
+        _check_coefficient(coefficient)
         key = (s.x_mask, s.z_mask)
         self.terms[key] = self.terms.get(key, 0.0) + coefficient * s.phase
         if abs(self.terms[key]) < PRUNE_TOL:

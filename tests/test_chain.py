@@ -287,6 +287,22 @@ def test_disorder_spec_validation():
             DisorderSpec(sigma_fraction=bad, trials=3, seed=0)
     with pytest.raises(ValueError):
         DisorderSpec(sigma_fraction=0.1, trials=np.nan, seed=0)
+    assert DisorderSpec(sigma_fraction=0.1, trials=np.int64(3), seed=0).trials == 3
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: disorder_ensemble(4, 0.7, DisorderSpec(0.05, 3, 0), []), "non-empty"),
+        (lambda: series_flux(CouplingProfile.uniform_eta(3, 1.0, 1.0), np.nan, 20), "t=nan"),
+        (lambda: series_flux(CouplingProfile.uniform_eta(3, 1.0, 1.0), -np.inf, 20), "t=-inf"),
+        (lambda: DisorderSpec(0.05, 2.5, 0), "trials must be an integer, got 2.5"),
+    ],
+    ids=["disorder-empty-grid", "series-nan-t", "series-inf-t", "disorder-float-trials"],
+)
+def test_entry_points_reject_what_they_cannot_evaluate(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_disorder_zero_sigma_collapses():

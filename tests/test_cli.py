@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -304,3 +305,52 @@ def test_run_writes_no_timestamp_in_data(tmp_path):
     with open(data) as fh:
         content = fh.read()
     assert "utc" not in content and "20" + "26" not in content
+
+
+CONFIG_DOC = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "config.md")
+
+
+def _documented_defaults(path):
+    """Per `###` experiment section of the schema doc: {key: default cell}.
+
+    A row may name several keys ("t_min, t_max, t_step") with one default
+    each; a single key keeps its whole default cell, so a list default
+    stays together.  A section that says "No parameters." maps to None.
+    """
+    sections = {}
+    name = None
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                name = line[4:].strip() if line.startswith("### ") else None
+                if name:
+                    sections[name] = {}
+            elif name and line.startswith("No parameters."):
+                sections[name] = None
+            elif name and line.startswith("| ") and not line.startswith(("| key ", "| ---")):
+                keys, _, default = (cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:4])
+                keys = keys.split(", ")
+                defaults = default.split(", ") if len(keys) > 1 else [default]
+                assert len(defaults) == len(keys), line
+                sections[name].update(zip(keys, defaults))
+    return sections
+
+
+def _parse_default(spec, cell):
+    if spec.kind == "choice":
+        return cell
+    scalar = int if spec.kind.startswith("int") else float
+    if spec.kind.endswith("list"):
+        return tuple(scalar(item) for item in cell.split(", "))
+    return scalar(cell)
+
+
+def test_config_doc_matches_param_specs():
+    sections = _documented_defaults(CONFIG_DOC)
+    assert sorted(sections) == sorted(PARAM_SPECS)
+    for experiment, specs in PARAM_SPECS.items():
+        documented = sections[experiment]
+        assert (documented is None) == (not specs), experiment
+        assert sorted(documented or {}) == sorted(specs), experiment
+        for key, spec in specs.items():
+            assert _parse_default(spec, documented[key]) == spec.default, (experiment, key)

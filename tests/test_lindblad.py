@@ -163,9 +163,12 @@ def test_trajectory_edge_cases():
         open_flux_tomography(spec, -0.5, 1, RegisterState.empty(), 1)
     with pytest.raises(ValueError):
         open_flux_trajectory(spec, [0.5, -0.5], 1, RegisterState.empty(), 1)
-    # a nan coefficient set directly, past add_string, must not come back as a nan expectation
+    # a nan coefficient written into the terms after construction, past every constructor and
+    # add_string check, must not come back as a nan expectation
+    obs = PauliObservable(1, {(0, 1): 1.0})
+    obs.terms[(0, 1)] = np.nan
     with pytest.raises(AssertionError, match="non-finite"):
-        expectation_trajectory(spec, PauliObservable(1, {(0, 1): np.nan}), rho0, ts)
+        expectation_trajectory(spec, obs, rho0, ts)
 
 
 def test_open_tomography_single_qubit():

@@ -93,12 +93,13 @@ class DisorderSpec:
     def __post_init__(self):
         if not (np.isfinite(self.sigma_fraction) and self.sigma_fraction >= 0):
             raise ValueError(f"sigma_fraction must be finite and >= 0, got {self.sigma_fraction}")
-        try:
-            trials = operator.index(self.trials)
-        except TypeError:
-            raise ValueError(f"trials must be an integer, got {self.trials!r}") from None
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name, low in (("trials", 1), ("seed", 0)):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _end_column(profile: CouplingProfile, t: np.ndarray, sites: np.ndarray) -> np.ndarray:
@@ -115,6 +116,8 @@ def _end_column(profile: CouplingProfile, t: np.ndarray, sites: np.ndarray) -> n
     (degenerate once a coupling vanishes) adds a constant to even elements,
     which U(0) = 1 fixes without its eigenvectors.
     """
+    if not np.isfinite(t).all():
+        raise ValueError(f"t must be finite, got t={t[~np.isfinite(t)][0]}")
     n = profile.n_qubits
     _, V = eigh_tridiagonal(np.zeros(n), profile.couplings)
     h = n // 2
@@ -141,17 +144,16 @@ def _end_column(profile: CouplingProfile, t: np.ndarray, sites: np.ndarray) -> n
 
 def transfer_amplitude(profile: CouplingProfile, t: float) -> complex:
     """Amplitude f(t) from site 1 to site N of exp(-i M t), M tridiagonal."""
-    r = float(_end_column(profile, np.array([float(t)]), np.array([0]))[0, 0])
-    f = complex(r, 0.0) if profile.n_qubits % 2 else complex(0.0, -r)
-    if not abs(f) <= 1 + AMPLITUDE_TOL:
-        raise AssertionError(f"|f| = {abs(f)} exceeds 1")
-    return f
+    return complex(amplitude_curve(profile, [t])[0])
 
 
 def amplitude_curve(profile: CouplingProfile, t_grid: np.ndarray) -> np.ndarray:
     """f(t) on a whole time grid from one diagonalization."""
     r = _end_column(profile, np.asarray(t_grid, dtype=float), np.array([0]))[:, 0]
-    return r + 0j if profile.n_qubits % 2 else -1j * r
+    f = r + 0j if profile.n_qubits % 2 else -1j * r
+    if not (np.abs(f) <= 1 + AMPLITUDE_TOL).all():
+        raise AssertionError(f"|f| = {np.abs(f).max()} exceeds 1")
+    return f
 
 
 def propagator_coefficients(profile: CouplingProfile, t: float) -> np.ndarray:

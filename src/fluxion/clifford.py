@@ -8,7 +8,10 @@ exact rule, the tableau updates of Aaronson and Gottesman, Phys. Rev. A 70,
 052328 (2004): a single-qubit gate maps the X, Y or Z letter on its qubit to
 a signed letter, and CNOT(c, t) sets x_t ^= x_c and z_c ^= z_t, flipping
 the sign when x_c = z_t = 1 and x_t = z_c.  The dense circuit unitary the
-rules are tested against is `circuit_unitary` in tests/oracles.py.
+rules are tested against is `circuit_unitary` in tests/oracles.py.  A flux
+row takes the evolved target string between the input kets |reg,a> through
+`flux.flux_columns`, the read-out the dense and open engines share; the
+closed form `chain.flux_components` and four-input tomography are its oracles.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flux import COL_LETTERS, FluxMatrix
+from .flux import FluxMatrix, flux_columns
 from .pauli import _LETTER_BITS, PauliString, qubit_mask
-from .states import RegisterState
+from .states import RegisterState, input_kets
 
 GATE_NAMES = ("CNOT", "H", "S", "X", "Y", "Z")
 
@@ -140,17 +143,6 @@ def table1() -> dict[tuple[str, int], list[PauliString]]:
     return out
 
 
-def _residual(string: PauliString, qubit: int) -> PauliString:
-    """The string without `qubit`: its part on the other n - 1 qubits."""
-    n = string.n_qubits
-    low = qubit_mask(n, qubit) - 1
-
-    def drop(mask: int) -> int:
-        return ((mask >> (n - qubit + 1)) << (n - qubit)) | (mask & low)
-
-    return PauliString(n - 1, drop(string.x_mask), drop(string.z_mask))
-
-
 def flux_from_observable(
     evolved: PauliString,
     register: RegisterState,
@@ -158,21 +150,15 @@ def flux_from_observable(
 ) -> np.ndarray:
     """One FluxMatrix row: coefficients of the input's X, Y, Z, I components.
 
-    A Clifford image is one signed string, so the row has one nonzero entry:
-    phase * <reg|residual|reg>, in the column of the string's letter on the
-    input qubit.
+    The target's response to the input unit |a><b| is <k_b|E|k_a>, the
+    evolved string E between the input kets k_a = |reg,a>; `flux_columns`
+    turns the three responses into the row.
     """
-    n = evolved.n_qubits
-    if register.n_qubits != n - 1:
+    if register.n_qubits != evolved.n_qubits - 1:
         raise ValueError("register must cover every qubit except the input")
-    amps = register.amplitudes
-    row = np.zeros(4, dtype=complex)
-    col = COL_LETTERS.index(evolved.letter(input_qubit))
-    # added onto +0, so a signed zero never reaches the written row
-    row[col] += evolved.phase * np.vdot(amps, _residual(evolved, input_qubit).apply(amps))
-    if np.abs(row.imag).max() > 1e-10:
-        raise AssertionError("flux row has a non-real component")
-    return row.real
+    k0, k1 = input_kets(register, input_qubit)
+    e0, e1 = evolved.apply(k0), evolved.apply(k1)
+    return np.array(flux_columns(np.vdot(k0, e0), np.vdot(k1, e1), np.vdot(k1, e0)))
 
 
 def flux_matrix(
@@ -206,24 +192,19 @@ def _diagonal_flux_matrices() -> np.ndarray:
     """The copying stage's diagonal fluxes as a (6, 4, 4) stack of register
     forms, in the order X2, Y2, Z2, X3, Y3, Z3.
 
-    Each evolved target string has the target's letter on the input qubit
-    and phase +1, so its diagonal flux is the register expectation of its
-    residual string: the quadratic form v.Qv for a real register v.  Every
-    residual string of the copying stage is real, so each Q is a real
-    symmetric matrix.
+    For a real register v, <k_b|E|k_a> = v.Qv with Q the symmetric part of
+    the block <b|E|a> of the evolved target string E; `flux_columns` maps the
+    three forms to the row's, and the target letter's column is the diagonal.
     """
     stage = copying_stage()
-    mats = []
+    forms = []
     for target in (2, 3):
-        for letter in "XYZ":
+        for column, letter in enumerate("XYZ"):
             evolved = conjugate(PauliString.from_label(3, f"{letter}{target}"), stage)
-            if evolved.letter(1) != letter or evolved.phase != 1:
-                raise AssertionError("copying stage lost its diagonal flux structure")
-            mats.append(_residual(evolved, 1).to_matrix())
-    mats = np.stack(mats)
-    if np.abs(mats.imag).max() > 0:
-        raise AssertionError("copying stage lost its real diagonal flux forms")
-    return mats.real
+            E = evolved.to_matrix().reshape(2, 4, 2, 4)
+            Q = (E + E.transpose(0, 3, 2, 1)) / 2
+            forms.append(flux_columns(Q[0, :, 0], Q[1, :, 1], Q[1, :, 0])[column])
+    return np.stack(forms)
 
 
 @dataclass(frozen=True)

@@ -388,6 +388,7 @@ def cross_checks(experiment: str, p: dict) -> list[str]:
     if experiment == "perfect-transfer" and p["lam"] <= 0:
         out.append("lam must be positive")
     if experiment in ("transfer-single", "transfer-sweep", "transfer-disorder"):
-        if "eta" in p and p["eta"] <= 0:
-            out.append("eta must be positive")
+        for key in ("eta", "eta_min"):
+            if key in p and p[key] <= 0:
+                out.append(f"{key} must be positive")
     return out

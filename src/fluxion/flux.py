@@ -5,13 +5,13 @@ through which the input qubit's X, Y, Z (and identity) components feed the
 target's X, Y, Z expectations: r_out = M r_in + c.  The identity column c
 carries input-independent (affine) contributions.
 
-The dense and open engines read M and c directly, with `flux_readout`, from
-the target's reduced blocks of the evolved input units |0><0|, |1><1| and
-|0><1|; the map is linear in the input's density matrix, so those units fix
-it.  `solve_affine`, the four-input least-squares tomography over
-`TOMOGRAPHY_INPUTS`, is the oracle the read-out is tested against; it stays
-in the package while perfbench/tracing.py wraps it by name, and the other
-oracles are in tests/oracles.py.
+The map is linear in the input's density matrix, so the target's responses
+to the input units |0><0|, |1><1| and |0><1| fix it.  `flux_columns`, the
+one formula from those responses to M and c, is shared by the Clifford,
+dense and open engines.  Its oracles stay apart: the closed form
+`chain.flux_components`, and `solve_affine`, four-input tomography over
+`TOMOGRAPHY_INPUTS`, kept in the package while perfbench/tracing.py wraps it
+by name; the other oracles are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ COL_LETTERS = "XYZI"
 ENTRY_BOUND_TOL = 1e-9
 
 AFFINE_RESIDUAL_TOL = 1e-9
+
+READOUT_IMAG_TOL = 1e-10  # on the responses to |0><0| and |1><1|
 
 
 @dataclass(frozen=True)
@@ -76,20 +78,25 @@ def cloning_fidelity(flux: FluxMatrix, input_bloch: BlochVector) -> float:
 transfer_fidelity = cloning_fidelity
 
 
-def flux_readout(r00, r11, r01, target_qubit: int, time_label) -> FluxMatrix:
-    """FluxMatrix from the target's reduced blocks of the evolved input units.
+def flux_columns(b00, b11, b01):
+    """Flux columns X, Y, Z, I from the target's responses b_ab to the input units |a><b|.
 
-    R_ab is the target's 2x2 block of the evolved |a><b| input unit and
-    b(R) = (Tr XR, Tr YR, Tr ZR) its `bloch_components`.  With
-    rho_in = (I + x X + y Y + z Z)/2 the target's Bloch vector is
+    With rho_in = (I + x X + y Y + z Z)/2 the target's Bloch component is
     c + x M_x + y M_y + z M_z, where c = (b00 + b11)/2, M_z = (b00 - b11)/2,
-    M_x = Re b01 and M_y = Im b01 (the |1><0| unit is the adjoint of |0><1|).
+    M_x = Re b01 and M_y = Im b01 (|1><0| is the adjoint of |0><1|).  Works
+    entrywise, on numbers or register forms; b00 and b11 must be real and finite.
     """
-    b00 = bloch_components(r00).real
-    b11 = bloch_components(r11).real
-    b01 = bloch_components(r01)
-    entries = np.column_stack([b01.real, b01.imag, (b00 - b11) / 2, (b00 + b11) / 2])
-    return FluxMatrix(target_qubit, time_label, entries)
+    if not (np.isfinite([b00, b11]) & (np.abs(np.imag([b00, b11])) <= READOUT_IMAG_TOL)).all():
+        raise AssertionError("a diagonal input unit gives a non-real or non-finite response")
+    b00, b11 = np.real(b00), np.real(b11)
+    return b01.real, b01.imag, (b00 - b11) / 2, (b00 + b11) / 2
+
+
+def flux_readout(r00, r11, r01, target_qubit: int, time_label) -> FluxMatrix:
+    """FluxMatrix from the target's reduced blocks R_ab of the evolved input units,
+    through `flux_columns` of their Bloch components (Tr XR, Tr YR, Tr ZR)."""
+    b00, b11, b01 = (bloch_components(r) for r in (r00, r11, r01))
+    return FluxMatrix(target_qubit, time_label, np.column_stack(flux_columns(b00, b11, b01)))
 
 
 def solve_affine(outputs: dict[str, np.ndarray], target_qubit: int, time_label) -> FluxMatrix:

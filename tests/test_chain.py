@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxion import chain
 from fluxion.chain import (
+    AMPLITUDE_TOL,
     CouplingProfile,
     DEFAULT_TIME_GRID,
     DisorderSpec,
@@ -70,6 +72,41 @@ def test_amplitude_curve_matches_pointwise():
     curve = amplitude_curve(prof, ts)
     for i, t in enumerate(ts):
         assert curve[i] == pytest.approx(transfer_amplitude(prof, float(t)))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_transfer_amplitude_is_the_curve_at_one_time(n):
+    """The same value as amplitude_curve at that one time, signed zeros included;
+    f is real for odd N and imaginary for even N, its other part +0."""
+    prof = CouplingProfile(n, np.random.default_rng(n).uniform(0.2, 1.5, size=n - 1))
+    ts = np.array([0.0, -0.0, 0.7, 3.1, 12.0])
+    for t, on_grid in zip(ts, amplitude_curve(prof, ts)):
+        point = transfer_amplitude(prof, float(t))
+        (curve,) = amplitude_curve(prof, [t])
+        parts = [point.real, point.imag]
+        assert np.array_equal(parts, [curve.real, curve.imag])
+        assert np.array_equal(np.signbit(parts), np.signbit([curve.real, curve.imag]))
+        assert not np.signbit(parts[n % 2]) and parts[n % 2] == 0.0
+        assert point == pytest.approx(on_grid, abs=1e-15)
+
+
+def test_amplitude_bound_checked_on_every_path(monkeypatch):
+    """amplitude_curve checks |f| <= 1 + AMPLITUDE_TOL, so sweeps and ensembles do too."""
+    prof = CouplingProfile.uniform_eta(4, 1.0, 0.7)
+    calls = [
+        lambda: amplitude_curve(prof, [0.0, 1.0]),
+        lambda: transfer_amplitude(prof, 1.0),
+        lambda: eta_sweep(4, [0.5], [0.0, 1.0]),
+        lambda: disorder_ensemble(4, 0.7, DisorderSpec(0.05, 2, 0), [0.0, 1.0]),
+    ]
+    for value, fails in ((1 + AMPLITUDE_TOL / 2, False), (1 + 2 * AMPLITUDE_TOL, True)):
+        monkeypatch.setattr(chain, "_end_column", lambda profile, t, sites: np.full((t.size, sites.size), value))
+        for call in calls:
+            if fails:
+                with pytest.raises(AssertionError, match="exceeds 1"):
+                    call()
+            else:
+                call()
 
 
 @st.composite
@@ -229,8 +266,9 @@ def test_transfer_result_invariants():
         TransferResult(complex(np.nan, 0.0), res.flux, np.nan, 3.0)
     with pytest.raises(ValueError):
         TransferResult(res.amplitude, res.flux, np.nan, 3.0)
-    with pytest.raises(AssertionError), np.errstate(invalid="ignore"):
-        transfer_amplitude(prof, np.inf)  # sin(inf) is NaN
+    # sin(inf) is NaN: rejected as a time, not reported as |f| = nan exceeding 1
+    with pytest.raises(ValueError, match="t=inf"):
+        transfer_amplitude(prof, np.inf)
 
 
 def test_chain_flux_matches_dense_engine():
@@ -288,6 +326,11 @@ def test_disorder_spec_validation():
     with pytest.raises(ValueError):
         DisorderSpec(sigma_fraction=0.1, trials=np.nan, seed=0)
     assert DisorderSpec(sigma_fraction=0.1, trials=np.int64(3), seed=0).trials == 3
+    # unchecked, -1 failed inside numpy's default_rng and 1.5 with a TypeError there
+    for bad in (-1, 1.5, np.nan, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            DisorderSpec(sigma_fraction=0.1, trials=3, seed=bad)
+    assert DisorderSpec(sigma_fraction=0.1, trials=3, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize(
@@ -297,8 +340,23 @@ def test_disorder_spec_validation():
         (lambda: series_flux(CouplingProfile.uniform_eta(3, 1.0, 1.0), np.nan, 20), "t=nan"),
         (lambda: series_flux(CouplingProfile.uniform_eta(3, 1.0, 1.0), -np.inf, 20), "t=-inf"),
         (lambda: DisorderSpec(0.05, 2.5, 0), "trials must be an integer, got 2.5"),
+        (lambda: disorder_ensemble(4, 0.7, DisorderSpec(0.05, 3, 0), [0.0, np.nan, 1.0]), "t=nan"),
+        (lambda: eta_sweep(4, [0.5, 0.7], [0.0, np.inf]), "t=inf"),
+        (lambda: propagator_coefficients(CouplingProfile.uniform_eta(4, 1.0, 1.0), np.nan), "t=nan"),
+        (lambda: transfer_amplitude(CouplingProfile.uniform_eta(5, 1.0, 1.0), -np.inf), "t=-inf"),
+        (lambda: amplitude_curve(CouplingProfile.uniform_eta(3, 1.0, 1.0), [np.nan]), "t=nan"),
     ],
-    ids=["disorder-empty-grid", "series-nan-t", "series-inf-t", "disorder-float-trials"],
+    ids=[
+        "disorder-empty-grid",
+        "series-nan-t",
+        "series-inf-t",
+        "disorder-float-trials",
+        "disorder-nan-t",
+        "sweep-inf-t",
+        "propagator-nan-t",
+        "transfer-inf-t",
+        "curve-nan-t",
+    ],
 )
 def test_entry_points_reject_what_they_cannot_evaluate(call, message):
     with pytest.raises(ValueError, match=message):

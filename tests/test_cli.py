@@ -80,6 +80,9 @@ def test_validate_collects_diagnostics():
         diags = validate(RunConfig(experiment, {"J": "1e-320"}))
         assert any("t_max / J is not finite" in d for d in diags)
         assert validate(RunConfig(experiment, {"J": "1e-320", "t_max": "0"})) == []
+    for eta_min in ("-0.5", "0"):
+        diags = validate(RunConfig("transfer-sweep", {"eta_min": eta_min}))
+        assert diags == ["eta_min must be positive"]
     assert validate(RunConfig("table1", {}, seed=-1))
     assert validate(RunConfig("table1", {}, seed=2**64))
 

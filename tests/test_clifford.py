@@ -24,9 +24,17 @@ from fluxion.clifford import (
     y,
     z,
 )
-from fluxion.flux import cloning_fidelity
+from fluxion.flux import cloning_fidelity, solve_affine
 from fluxion.pauli import PauliString
-from fluxion.states import BlochVector, RegisterState, product_state, uqcm_preparation_state
+from fluxion.states import (
+    TOMOGRAPHY_INPUTS,
+    BlochVector,
+    RegisterState,
+    bloch_of_qubit,
+    insert_qubit,
+    product_state,
+    uqcm_preparation_state,
+)
 from oracles import circuit_unitary
 
 # the copying stage's evolved single-qubit operators after each CNOT
@@ -182,11 +190,27 @@ def test_flux_matches_output_bloch_directly():
             c /= np.linalg.norm(c)
             full = product_state(c, reg)
             out = RegisterState(3, U @ full.amplitudes)
-            from fluxion.states import bloch_of_qubit
-
             expected = bloch_of_qubit(out, target).as_array()
             got = fm.bloch_map(BlochVector.of_state(c[0], c[1]).as_array())
             assert np.allclose(got, expected, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits(3, max_len=8), st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3))
+def test_flux_matrix_matches_four_input_tomography(circuit, seed, input_qubit, target_qubit):
+    """Any circuit of the six gates, complex register, input and target
+    qubit: the read-out equals the affine fit of the four inputs' outputs."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    register = RegisterState(2, v / np.linalg.norm(v))
+    U = circuit_unitary(circuit)
+    outputs = {}
+    for key, amps in TOMOGRAPHY_INPUTS.items():
+        out = RegisterState(3, U @ insert_qubit(register, amps, input_qubit).amplitudes)
+        outputs[key] = bloch_of_qubit(out, target_qubit).as_array()
+    oracle = solve_affine(outputs, target_qubit, "").entries
+    got = flux_matrix(circuit, register, input_qubit, target_qubit).entries
+    assert np.abs(got - oracle).max() <= 1e-12
 
 
 def _feasible_flux(b, g, d, tol):

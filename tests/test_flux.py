@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from fluxion.flux import FluxMatrix, cloning_fidelity, solve_affine, transfer_fidelity
+from fluxion.chain import flux_components
+from fluxion.flux import (
+    FluxMatrix,
+    cloning_fidelity,
+    flux_columns,
+    flux_readout,
+    solve_affine,
+    transfer_fidelity,
+)
 from fluxion.states import BlochVector
 
 
@@ -90,3 +98,35 @@ def test_solve_affine_rejects_inconsistent_data():
     outputs["+"] = np.array([np.nan, 0.0, 0.0])
     with pytest.raises((AssertionError, ValueError)):
         solve_affine(outputs, 1, 0.0)
+
+
+def test_readout_matches_closed_form_transfer():
+    """An excitation-conserving transfer of amplitude f from the |0...0>
+    register leaves the target in |0><0|, in (1 - p)|0><0| + p|1><1| with
+    p = |f|^2, and in conj(f)|0><1| for the three input units; the read-out
+    of those blocks is the closed form `flux_components(f)`."""
+    rng = np.random.default_rng(29)
+    for f in [1.0 + 0j, -1j, 0j, *(rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform(size=8)))]:
+        p = abs(f) ** 2
+        r00 = np.diag([1.0, 0.0]).astype(complex)
+        r11 = np.diag([1.0 - p, p]).astype(complex)
+        r01 = np.array([[0.0, np.conj(f)], [0.0, 0.0]])
+        got = flux_readout(r00, r11, r01, 4, 0.5).entries
+        assert np.abs(got - flux_components(f, 4, 0.5).entries).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "b00, b11",
+    [(0.5 + 1e-9j, 0.5), (0.5, -1e-9j), (np.nan, 0.5), (0.5, complex(0.0, np.nan)), (np.inf, 0.0)],
+)
+def test_readout_rejects_nonreal_or_nonfinite_diagonal_units(b00, b11):
+    with pytest.raises(AssertionError, match="non-real or non-finite"):
+        flux_columns(b00, b11, 0.1j)
+
+
+def test_readout_tolerates_roundoff_but_not_a_non_hermitian_block():
+    assert flux_columns(0.5 + 1e-11j, 0.25 - 1e-11j, 0.3 - 0.2j) == (0.3, -0.2, 0.125, 0.375)
+    # Tr YR of a non-Hermitian block is imaginary, so the dense and open read-outs reject it
+    leaky = np.array([[1.0, 0.1], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(AssertionError, match="non-real"):
+        flux_readout(leaky, np.diag([0.0, 1.0]), np.zeros((2, 2)), 1, 0.0)

@@ -116,7 +116,7 @@ def run_uqcm_circuit(params, seed):
 
 
 def run_uqcm_prep_opt(params, seed):
-    result = clifford.optimize_preparation(params["constraint"], seeds=params["restarts"])
+    result = clifford.optimize_preparation(params["constraint"])
     amps = result.amplitudes
     items = {
         "constraint": params["constraint"],
@@ -131,13 +131,12 @@ def run_uqcm_prep_opt(params, seed):
 
 
 def run_uqcm_chain(params, seed):
-    J = params["J"]
-    h = dense.SpinHamiltonian.heisenberg_chain(3, J, 2.0)
+    h = dense.SpinHamiltonian.heisenberg_chain(3, 1.0, 2.0)
     register = psi_plus_state()
     pole = BlochVector(0.0, 0.0, 1.0)
     rows = []
     for jt in _grid(params, "t"):
-        fm = dense.flux_tomography(h, float(jt) / J, 2, register, 1)
+        fm = dense.flux_tomography(h, float(jt), 2, register, 1)
         rows.append(
             (
                 float(jt),
@@ -152,9 +151,7 @@ def run_uqcm_chain(params, seed):
 
 
 def run_universality_scan(params, seed):
-    J = params["J"]
-    t_grid = _grid(params, "t") / J
-    deviations = dense.universality_scan(params["lambdas"], J, t_grid)
+    deviations = dense.universality_scan(params["lambdas"], 1.0, _grid(params, "t"))
     rows = [(lam, dev) for lam, dev in deviations.items()]
     return [TableOutput("universality-scan", ("lambda", "anisotropy_deviation"), rows)]
 
@@ -223,11 +220,9 @@ def run_transfer_disorder(params, seed):
 
 
 def run_perfect_transfer(params, seed):
-    lam = params["lam"]
     rows = []
     for n in params["n_list"]:
-        profile = chain.CouplingProfile.perfect(n, lam)
-        f = chain.transfer_amplitude(profile, np.pi / lam)
+        f = chain.transfer_amplitude(chain.CouplingProfile.perfect(n, 1.0), np.pi)
         rows.append((n, abs(f)))
     return [TableOutput("perfect-transfer", ("n_qubits", "abs_f_at_star"), rows)]
 
@@ -288,17 +283,14 @@ PARAM_SPECS: dict[str, dict[str, ParamSpec]] = {
         "constraint": ParamSpec(
             "choice", "symmetric-universal", choices=("symmetric-universal", "fully-biased")
         ),
-        "restarts": ParamSpec("int", 12, minimum=1),
     },
     "uqcm-chain": {
-        "J": ParamSpec("float", 1.0),
         "t_min": ParamSpec("float", 0.0, minimum=0.0),
         "t_max": ParamSpec("float", 1.82, minimum=0.0),
         "t_step": ParamSpec("float", 0.02),
     },
     "universality-scan": {
         "lambdas": ParamSpec("float-list", (0.0, 1.0, 2.0, 3.0)),
-        "J": ParamSpec("float", 1.0),
         "t_min": ParamSpec("float", 0.0, minimum=0.0),
         "t_max": ParamSpec("float", 1.82, minimum=0.0),
         "t_step": ParamSpec("float", 0.01),
@@ -328,7 +320,6 @@ PARAM_SPECS: dict[str, dict[str, ParamSpec]] = {
     },
     "perfect-transfer": {
         "n_list": ParamSpec("int-list", (4, 7, 32, 101), minimum=2),
-        "lam": ParamSpec("float", 1.0),
     },
     "series-check": {
         "n_qubits": ParamSpec("int", 5, minimum=2),
@@ -367,12 +358,6 @@ def cross_checks(experiment: str, p: dict) -> list[str]:
             out.append(
                 f"{largest} would have {sizes[largest]:.3g} elements, more than {MAX_ARRAY_ELEMENTS:.0e}"
             )
-    if experiment in ("uqcm-chain", "universality-scan"):
-        # the Jt grid becomes times t = Jt / J
-        if p["J"] == 0:
-            out.append("J must be nonzero: times are Jt / J")
-        elif not np.isfinite(p["t_max"] / p["J"]):
-            out.append(f"J={p['J']!r} is too small: t_max / J is not finite")
     if experiment == "open-flux":
         if p["n_qubits"] > lindblad.OPEN_QUBIT_CAP:
             out.append(
@@ -385,8 +370,6 @@ def cross_checks(experiment: str, p: dict) -> list[str]:
         out.append(
             f"truncation_order={p['truncation_order']} cannot reach site {p['n_qubits']}"
         )
-    if experiment == "perfect-transfer" and p["lam"] <= 0:
-        out.append("lam must be positive")
     if experiment in ("transfer-single", "transfer-sweep", "transfer-disorder"):
         for key in ("eta", "eta_min"):
             if key in p and p[key] <= 0:

@@ -16,7 +16,15 @@ from fluxion.cli import (
     run,
     validate,
 )
-from fluxion.experiments import PARAM_SPECS
+from fluxion.experiments import EXPERIMENTS, PARAM_SPECS, TableOutput
+
+
+REMOVED_PARAMETERS = (
+    ("uqcm-chain", "J"),
+    ("universality-scan", "J"),
+    ("perfect-transfer", "lam"),
+    ("uqcm-prep-opt", "restarts"),
+)
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -71,15 +79,9 @@ def test_validate_collects_diagnostics():
     assert any("target_qubit" in d for d in diags)
     diags = validate(RunConfig("table1", {"stray": "1"}))
     assert any("stray" in d for d in diags)
-    diags = validate(RunConfig("universality-scan", {"lambdas": "0, inf", "J": "nan"}))
+    diags = validate(RunConfig("universality-scan", {"lambdas": "0, inf", "t_max": "nan"}))
     assert any("lambdas must be finite" in d for d in diags)
-    assert any("J must be finite" in d for d in diags)
-    for experiment in ("uqcm-chain", "universality-scan"):
-        diags = validate(RunConfig(experiment, {"J": "0"}))
-        assert any("J must be nonzero" in d for d in diags)
-        diags = validate(RunConfig(experiment, {"J": "1e-320"}))
-        assert any("t_max / J is not finite" in d for d in diags)
-        assert validate(RunConfig(experiment, {"J": "1e-320", "t_max": "0"})) == []
+    assert any("t_max must be finite" in d for d in diags)
     for eta_min in ("-0.5", "0"):
         diags = validate(RunConfig("transfer-sweep", {"eta_min": eta_min}))
         assert diags == ["eta_min must be positive"]
@@ -187,15 +189,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert code == 2
     capsys.readouterr()
 
-    # a J the Jt grid cannot be converted with is a config error, not a crash or NaN rows
-    for experiment, J in (("uqcm-chain", "0"), ("universality-scan", "1e-320")):
-        tiny = write_config(
-            tmp_path, f"[run]\nexperiment = {experiment}\n\n[params]\nJ = {J}\n", name="j.ini"
+    # parameters that could not change the answer are gone: the chain results
+    # depend on Jt and the profile's shape, and fewer optimizer starts miss the optimum
+    for experiment, key in REMOVED_PARAMETERS:
+        removed = write_config(
+            tmp_path, f"[run]\nexperiment = {experiment}\n\n[params]\n{key} = 1\n", name="removed.ini"
         )
-        out = tmp_path / f"j-{experiment}"
-        assert main([experiment, "--config", tiny, "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        out = tmp_path / f"removed-{experiment}"
+        assert main([experiment, "--config", removed, "--out", str(out)]) == 2
+        assert f"config error: unknown parameter '{key}' for {experiment}" in capsys.readouterr().err
+        assert not out.exists()
 
     # valid config whose run overflows the series truncation at runtime
     runtime = write_config(
@@ -264,6 +267,98 @@ def test_threads_flag_accepts_only_one(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     assert "--threads" not in capsys.readouterr().out
+
+
+# A small config per experiment, and per parameter a value that must move its output.
+_SMALL_CONFIGS = {
+    "uqcm-prep-opt": {},
+    "uqcm-chain": {"t_max": "0.4", "t_step": "0.2"},
+    "universality-scan": {"lambdas": "1.0, 3.0", "t_max": "0.4", "t_step": "0.2"},
+    "transfer-single": {"n_qubits": "4", "eta": "0.7", "Jt": "1.5"},
+    "transfer-sweep": {
+        "n_qubits": "4", "eta_min": "0.5", "eta_max": "0.7", "eta_step": "0.1", "t_max": "2.0", "t_step": "0.5",
+    },
+    "transfer-disorder": {"n_qubits": "4", "eta": "0.7", "trials": "3", "t_max": "2.0", "t_step": "0.5"},
+    "perfect-transfer": {"n_list": "4, 7"},
+    "series-check": {"n_qubits": "4", "Jt": "1.0", "truncation_order": "40"},
+    "open-flux": {"n_qubits": "2", "J": "0.5", "target_qubit": "2", "t_max": "1.0", "t_step": "0.5"},
+}
+_CHANGED_VALUES = {
+    ("uqcm-prep-opt", "constraint"): "fully-biased",
+    ("uqcm-chain", "t_min"): "0.2",
+    ("uqcm-chain", "t_max"): "0.6",
+    ("uqcm-chain", "t_step"): "0.1",
+    ("universality-scan", "lambdas"): "0.0, 3.0",
+    ("universality-scan", "t_min"): "0.1",
+    ("universality-scan", "t_max"): "0.6",
+    ("universality-scan", "t_step"): "0.3",
+    ("transfer-single", "n_qubits"): "5",
+    ("transfer-single", "eta"): "0.5",
+    ("transfer-single", "Jt"): "2.0",
+    ("transfer-sweep", "n_qubits"): "5",
+    ("transfer-sweep", "eta_min"): "0.6",
+    ("transfer-sweep", "eta_max"): "0.8",
+    ("transfer-sweep", "eta_step"): "0.2",
+    ("transfer-sweep", "t_min"): "0.5",
+    ("transfer-sweep", "t_max"): "2.5",
+    ("transfer-sweep", "t_step"): "0.25",
+    ("transfer-disorder", "n_qubits"): "5",
+    ("transfer-disorder", "eta"): "0.5",
+    ("transfer-disorder", "sigma"): "0.1",
+    ("transfer-disorder", "trials"): "4",
+    ("transfer-disorder", "t_min"): "0.5",
+    ("transfer-disorder", "t_max"): "2.5",
+    ("transfer-disorder", "t_step"): "0.25",
+    ("perfect-transfer", "n_list"): "4, 8",
+    ("series-check", "n_qubits"): "5",
+    ("series-check", "eta"): "0.7",
+    ("series-check", "Jt"): "1.5",
+    ("series-check", "truncation_order"): "30",
+    ("open-flux", "n_qubits"): "3",
+    ("open-flux", "damping"): "0.2",
+    ("open-flux", "dephasing"): "0.1",
+    ("open-flux", "n_bar"): "0.1",
+    ("open-flux", "J"): "1.0",
+    ("open-flux", "input_qubit"): "2",
+    ("open-flux", "target_qubit"): "1",
+    ("open-flux", "t_min"): "0.5",
+    ("open-flux", "t_max"): "1.5",
+    ("open-flux", "t_step"): "0.25",
+}
+
+
+def _output_values(experiment, parameters):
+    """Every row cell, extra and summary item the experiment returns, in order."""
+    values = []
+    for output in EXPERIMENTS[experiment](resolve(RunConfig(experiment, parameters)), 0):
+        if isinstance(output, TableOutput):
+            values += [cell for row in output.rows for cell in row] + list(output.extra.values())
+        else:
+            values += list(output.items.values())
+    return values
+
+
+def _moved(a, b, tol=1e-12):
+    if len(a) != len(b):
+        return True
+    for x, y in zip(a, b):
+        try:
+            if not abs(float(x) - float(y)) <= tol:
+                return True
+        except ValueError:
+            if x != y:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("experiment", sorted(name for name, specs in PARAM_SPECS.items() if specs))
+def test_every_parameter_changes_the_output(experiment):
+    base = _SMALL_CONFIGS[experiment]
+    reference = _output_values(experiment, base)
+    for key in PARAM_SPECS[experiment]:
+        assert (experiment, key) in _CHANGED_VALUES, f"no changed value for {experiment}.{key}"
+        changed = {**base, key: _CHANGED_VALUES[(experiment, key)]}
+        assert _moved(_output_values(experiment, changed), reference), (experiment, key)
 
 
 # raw config strings at and past every edge a parameter parser or range check meets

@@ -346,6 +346,3 @@ def test_preparation_gradients_match_central_differences(constraint_set):
 def test_unknown_constraint_set():
     with pytest.raises(ValueError):
         optimize_preparation("asymmetric")
-    for seeds in (0, -3):
-        with pytest.raises(ValueError, match="seeds"):
-            optimize_preparation("fully-biased", seeds=seeds)

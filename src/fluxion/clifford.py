@@ -143,6 +143,14 @@ def table1() -> dict[tuple[str, int], list[PauliString]]:
     return out
 
 
+def _flux_row(evolved: PauliString, k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    """The row of the evolved string E between the input kets k0 = |reg,0>, k1 = |reg,1>."""
+    if k0.shape != (1 << evolved.n_qubits,):
+        raise ValueError("register must cover every qubit except the input")
+    e0, e1 = evolved.apply(k0), evolved.apply(k1)
+    return np.array(flux_columns(np.vdot(k0, e0), np.vdot(k1, e1), np.vdot(k1, e0)))
+
+
 def flux_from_observable(
     evolved: PauliString,
     register: RegisterState,
@@ -154,11 +162,7 @@ def flux_from_observable(
     evolved string E between the input kets k_a = |reg,a>; `flux_columns`
     turns the three responses into the row.
     """
-    if register.n_qubits != evolved.n_qubits - 1:
-        raise ValueError("register must cover every qubit except the input")
-    k0, k1 = input_kets(register, input_qubit)
-    e0, e1 = evolved.apply(k0), evolved.apply(k1)
-    return np.array(flux_columns(np.vdot(k0, e0), np.vdot(k1, e1), np.vdot(k1, e0)))
+    return _flux_row(evolved, *input_kets(register, input_qubit))
 
 
 def flux_matrix(
@@ -168,10 +172,12 @@ def flux_matrix(
     target_qubit: int,
     time_label: float | str = "",
 ) -> FluxMatrix:
-    rows = []
-    for letter in "XYZ":
-        evolved = conjugate(PauliString.from_label(circuit.n_qubits, f"{letter}{target_qubit}"), circuit)
-        rows.append(flux_from_observable(evolved, register, input_qubit))
+    """The three rows of `flux_from_observable`, sharing one pair of input kets."""
+    kets = input_kets(register, input_qubit)
+    rows = [
+        _flux_row(conjugate(PauliString.from_label(circuit.n_qubits, f"{letter}{target_qubit}"), circuit), *kets)
+        for letter in "XYZ"
+    ]
     return FluxMatrix(target_qubit, time_label, np.array(rows))
 
 

@@ -14,6 +14,7 @@ entries into a sparse matrix that both `to_matrix` methods densify.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,8 @@ PRUNE_TOL = 1e-14
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_BITS = {v: k for k, v in _LETTERS.items()}
+_LABEL_PAIR = re.compile(r"([IXYZ])([0-9]+)")
+_LABEL_WORD = re.compile(r"(?:[IXYZ][0-9]+)+")
 
 
 def qubit_mask(n_qubits: int, qubit: int) -> int:
@@ -92,24 +95,20 @@ class PauliString:
 
     @classmethod
     def from_label(cls, n_qubits: int, label: str, phase: complex = 1 + 0j) -> "PauliString":
-        """Build from e.g. "X1 Z3" or "X1X2X3" (1-based qubit numbers)."""
-        if label.replace(" ", "") in ("", "I"):
+        """Build from e.g. "X1 Z3", "X1X2X3" or "I" (1-based qubit numbers)."""
+        words = label.split()
+        if words in ([], ["I"]):
             return cls(n_qubits, 0, 0, phase)
+        if not all(_LABEL_WORD.fullmatch(word) for word in words):
+            raise ValueError(f"malformed Pauli label {label!r}; expected e.g. 'X1 Z3' or 'X1X2X3'")
         x = z = 0
-        token = ""
-        for ch in label.replace(" ", "") + "#":
-            if ch.isdigit():
-                token += ch
-                continue
-            if token:
-                letter, num = token[0], int(token[1:])
-                bx, bz = _LETTER_BITS[letter]
-                m = qubit_mask(n_qubits, num)
-                if (x | z) & m:
-                    raise ValueError(f"duplicate qubit {num} in {label!r}")
-                x |= m * bx
-                z |= m * bz
-            token = "" if ch == "#" else ch
+        for letter, digits in _LABEL_PAIR.findall(label):
+            bx, bz = _LETTER_BITS[letter]
+            m = qubit_mask(n_qubits, int(digits))
+            if (x | z) & m:
+                raise ValueError(f"duplicate qubit {int(digits)} in {label!r}")
+            x |= m * bx
+            z |= m * bz
         return cls(n_qubits, x, z, phase)
 
     def letter(self, qubit: int) -> str:

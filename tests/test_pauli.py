@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,8 +45,14 @@ def test_from_label_and_back():
     assert s.letter(2) == "I"
     assert PauliString.from_label(3, "I").label() == "I"
     assert PauliString.from_label(2, "Y2", phase=-1 + 0j).label() == "-Y2"
+    assert PauliString.from_label(3, "X1 Z3") == PauliString.from_label(3, "X1Z3")
+    assert PauliString.from_label(3, "X1X2X3").label() == "X1X2X3"
     with pytest.raises(ValueError):
         PauliString.from_label(3, "X1X1")
+    # each malformed label is a ValueError that names it; "X1 1" is not X11
+    for bad in ("Q1", "x1", "X", "1X", "X1 1", "X1,Z2", "X1-"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            PauliString.from_label(12, bad)
 
 
 def test_single_qubit_matrices():

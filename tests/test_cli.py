@@ -19,14 +19,6 @@ from fluxion.cli import (
 from fluxion.experiments import EXPERIMENTS, PARAM_SPECS, TableOutput
 
 
-REMOVED_PARAMETERS = (
-    ("uqcm-chain", "J"),
-    ("universality-scan", "J"),
-    ("perfect-transfer", "lam"),
-    ("uqcm-prep-opt", "restarts"),
-)
-
-
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -191,7 +183,10 @@ def test_main_exit_codes(tmp_path, capsys):
 
     # parameters that could not change the answer are gone: the chain results
     # depend on Jt and the profile's shape, and fewer optimizer starts miss the optimum
-    for experiment, key in REMOVED_PARAMETERS:
+    removed_parameters = (
+        ("uqcm-chain", "J"), ("universality-scan", "J"), ("perfect-transfer", "lam"), ("uqcm-prep-opt", "restarts")
+    )
+    for experiment, key in removed_parameters:
         removed = write_config(
             tmp_path, f"[run]\nexperiment = {experiment}\n\n[params]\n{key} = 1\n", name="removed.ini"
         )
@@ -338,12 +333,13 @@ def _output_values(experiment, parameters):
     return values
 
 
-def _moved(a, b, tol=1e-12):
+def _moved(a, b):
+    """True when the outputs differ in length, in a label, or in a number by more than 1e-12."""
     if len(a) != len(b):
         return True
     for x, y in zip(a, b):
         try:
-            if not abs(float(x) - float(y)) <= tol:
+            if not abs(float(x) - float(y)) <= 1e-12:
                 return True
         except ValueError:
             if x != y:

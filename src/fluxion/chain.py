@@ -18,9 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .flux import FluxMatrix
 
@@ -100,6 +98,17 @@ class DisorderSpec:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def eigh_tridiagonal(d, e):
+    """`scipy.linalg.eigh_tridiagonal`, imported on the first call.
+
+    Only the single-excitation engine diagonalizes a tridiagonal matrix, so
+    `import fluxion` does not pay for loading `scipy.linalg`.
+    """
+    from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
+
+    return scipy_eigh_tridiagonal(d, e)
 
 
 def _end_column(profile: CouplingProfile, t: np.ndarray, sites: np.ndarray) -> np.ndarray:
@@ -194,6 +203,8 @@ def series_flux(profile: CouplingProfile, t: float, truncation_order: int) -> Se
     n = profile.n_qubits
     if truncation_order < n - 1:
         raise TruncationError(f"order {truncation_order} cannot reach site {n}")
+    import mpmath  # loaded here, not at import: only this cross-check runs in arbitrary precision
+
     jmax = float(np.abs(profile.couplings).max())
     dps = int(2 * jmax * abs(t) / np.log(10.0)) + 40
     with mpmath.workdps(dps):

@@ -123,6 +123,8 @@ def resolve(config: RunConfig) -> dict:
         params[key] = value
     for key, spec in specs.items():
         value = params[key]
+        if spec.kind.endswith("list") and not value:
+            diagnostics.append(f"{key} must list at least one value")
         if spec.minimum is not None:
             values = value if isinstance(value, tuple) else (value,)
             if any(v < spec.minimum for v in values):

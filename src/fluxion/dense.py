@@ -1,7 +1,8 @@
 """Full Hilbert-space dynamics for spin-chain Hamiltonians.
 
-Small registers only.  The Hamiltonian is assembled sparse from its Pauli
-words by `pauli._terms_sparse`.  When no entry couples basis
+Small registers only.  The Hamiltonian's nonzero entries are assembled from
+its Pauli words by `pauli._terms_sparse`, as COO triplets in numpy; no
+sparse-matrix library is involved.  When no entry couples basis
 states of different excitation number (popcount), as for every chain that
 commutes with total Z, it is diagonalized block by block, one block per
 excitation-number sector; otherwise as one block.  Evolution is exact and
@@ -21,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .chain import CouplingProfile
 from .flux import FluxMatrix, cloning_fidelity, flux_readout
-from .pauli import PauliString, _terms_sparse
+from .pauli import PauliString, _dense, _terms_sparse
 from .states import (
     DENSE_QUBIT_CAP,
     BlochVector,
@@ -73,12 +73,12 @@ class SpinHamiltonian:
             terms.append((coupling, PauliString.from_label(n, f"Y{i}Y{i + 1}")))
         return cls(n, tuple(terms))
 
-    def _sparse(self) -> sparse.coo_array:
-        """H as COO, assembled from its Pauli words by `pauli._terms_sparse`."""
+    def _sparse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """H as COO triplets (rows, cols, vals), assembled by `pauli._terms_sparse`."""
         return _terms_sparse(self.n_qubits, [(s.x_mask, s.z_mask, c * s.phase) for c, s in self.terms])
 
     def to_matrix(self) -> np.ndarray:
-        return self._sparse().toarray()
+        return _dense(self.n_qubits, self._sparse())
 
     def _eigensystem(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """(basis indices, eigenvalues, eigenvectors) of every diagonal block.
@@ -89,17 +89,17 @@ class SpinHamiltonian:
         """
         cached = getattr(self, "_eig", None)
         if cached is None:
-            H = self._sparse()
+            rows, cols, vals = self._sparse()
             sector = np.bitwise_count(np.arange(1 << self.n_qubits))
-            if not np.array_equal(sector[H.row], sector[H.col]):
+            if not np.array_equal(sector[rows], sector[cols]):
                 sector = np.zeros_like(sector)
-            entry_sector = sector[H.row]
+            entry_sector = sector[rows]
             blocks = []
             for k in range(int(sector.max()) + 1):
                 idx = np.flatnonzero(sector == k)
                 sel = entry_sector == k
                 B = np.zeros((idx.size, idx.size), dtype=complex)
-                B[np.searchsorted(idx, H.row[sel]), np.searchsorted(idx, H.col[sel])] = H.data[sel]
+                B[np.searchsorted(idx, rows[sel]), np.searchsorted(idx, cols[sel])] = vals[sel]
                 if not (np.abs(B - B.conj().T).max() <= 1e-12):
                     raise AssertionError("Hamiltonian is not Hermitian")
                 blocks.append((idx, *np.linalg.eigh(B if B.imag.any() else B.real)))

@@ -366,6 +366,9 @@ def cross_checks(experiment: str, p: dict) -> list[str]:
         for key in ("input_qubit", "target_qubit"):
             if p[key] > p["n_qubits"]:
                 out.append(f"{key}={p[key]} is outside 1..{p['n_qubits']}")
+    if experiment == "universality-scan" and len(set(p["lambdas"])) < len(p["lambdas"]):
+        # one output row per anisotropy: a repeated value would be silently merged
+        out.append(f"lambdas must not repeat a value, got {', '.join(map(str, p['lambdas']))}")
     if experiment == "series-check" and p["truncation_order"] < p["n_qubits"] - 1:
         out.append(
             f"truncation_order={p['truncation_order']} cannot reach site {p['n_qubits']}"

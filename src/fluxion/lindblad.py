@@ -7,7 +7,10 @@ spec and qubit count, as one sparse CSR matrix on the row-major vec(rho),
 caches it on the spec and returns it; every integration's right-hand side is
 the one sparse product S @ y.  Its pieces come from `_generator_pieces`: the
 Hamiltonian and, per qubit, the jumps sigma- = (X + iY)/2, sigma+ = (X - iY)/2
-if n_bar > 0, and Z, all Pauli-word sums assembled by `pauli._terms_sparse`.  The
+if n_bar > 0, and Z, all Pauli-word sums whose COO triplets
+`pauli._terms_sparse` assembles in numpy.  This module is the only user of
+`scipy.sparse`: the two functions above import it on the call and wrap the
+triplets as `coo_array` (`_coo`), so no other engine loads it.  The
 dense superoperator it is checked against, `superoperator` in
 tests/oracles.py, builds all its pieces independently from 2x2 matrices.
 `_partial_trace` is the one partial trace of a density matrix.
@@ -27,7 +30,6 @@ import gc
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .dense import SpinHamiltonian
 from .flux import FluxMatrix, flux_readout
@@ -95,12 +97,23 @@ class LindbladSpec:
             raise ValueError(f"rates and occupation must be finite and >= 0, got {rates}")
 
 
+def _coo(n: int, triplets):
+    """COO triplets from `pauli._terms_sparse` as a 2^n x 2^n `scipy.sparse.coo_array`."""
+    from scipy import sparse
+
+    M = sparse.coo_array((triplets[2], triplets[:2]), shape=(1 << n, 1 << n))
+    M.has_canonical_format = True  # sorted, summed and zero-free, so scipy skips re-summing
+    return M
+
+
 def _generator_pieces(spec: LindbladSpec, n: int):
     """Sparse H, the jump operators L (none for a zero rate) and K = sum_L L^dag L."""
+    from scipy import sparse
+
     h = spec.hamiltonian
     if h is not None and h.n_qubits != n:
         raise ValueError("Hamiltonian qubit count mismatch")
-    H = _terms_sparse(n, []) if h is None else h._sparse()
+    H = _coo(n, _terms_sparse(n, []) if h is None else h._sparse())
     lower = np.sqrt(spec.damping_rate * (spec.n_bar + 1))
     raise_ = np.sqrt(spec.damping_rate * spec.n_bar)
     dephase = np.sqrt(spec.dephasing_rate)
@@ -113,13 +126,13 @@ def _generator_pieces(spec: LindbladSpec, n: int):
                 words.append([(m, 0, 0.5 * raise_), (m, m, -0.5j * raise_)])
         if spec.dephasing_rate > 0:
             words.append([(0, m, dephase)])
-    jumps = [_terms_sparse(n, w) for w in words]
+    jumps = [_coo(n, _terms_sparse(n, w)) for w in words]
     # K = J^dag J with J the jumps stacked, one product; the empty block keeps J defined without jumps
-    J = sparse.vstack([_terms_sparse(n, []), *jumps])
+    J = sparse.vstack([_coo(n, _terms_sparse(n, [])), *jumps])
     return H, jumps, J.conj().T @ J
 
 
-def _generator(spec: LindbladSpec, n: int) -> sparse.csr_array:
+def _generator(spec: LindbladSpec, n: int):
     """S = -i(H x I - I x H^T) + sum_L L x L* - (K x I + I x K^T)/2 on the row-major vec(rho).
 
     Built on the first call for each n and stored on the frozen spec, so every
@@ -128,7 +141,9 @@ def _generator(spec: LindbladSpec, n: int) -> sparse.csr_array:
     generators = vars(spec).setdefault("_generators", {})
     if n not in generators:
         H, jumps, K = _generator_pieces(spec, n)
-        eye = _terms_sparse(n, [(0, 0, 1.0)])
+        from scipy import sparse  # loaded by _generator_pieces, so the cost shows in that layer
+
+        eye = _coo(n, _terms_sparse(n, [(0, 0, 1.0)]))
         factors = [(-1j * H, eye), (eye, 1j * H.T), (-0.5 * K, eye), (eye, -0.5 * K.T)]
         factors += [(L, L.conj()) for L in jumps]
         blocks = [sparse.kron(A, B, format="coo") for A, B in factors]

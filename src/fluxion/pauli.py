@@ -9,7 +9,8 @@ Y = i X Z.  Phase +-1 therefore means the operator is Hermitian.
 Every word is a signed permutation matrix.  `_signed_permutation` is the one
 index/sign kernel: both `apply` methods gather through it, and
 `_terms_sparse`, the one place an operator matrix is assembled, sums its
-entries into a sparse matrix that both `to_matrix` methods densify.
+entries into canonical COO triplets with numpy alone; `_dense` writes them
+into the array both `to_matrix` methods return.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -44,9 +44,12 @@ def _signed_permutation(n_qubits: int, x_mask: int, z_mask: int, coefficient: co
     return idx, (coefficient * PHASES[(x_mask & z_mask).bit_count() % 4]) * signs
 
 
-def _terms_sparse(n_qubits: int, terms) -> sparse.coo_array:
-    """COO sum of (x_mask, z_mask, coefficient) words, duplicates summed, exact zeros dropped.
+def _terms_sparse(n_qubits: int, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major COO triplets (rows, cols, vals) of a sum of (x_mask, z_mask, coefficient) words.
 
+    Duplicates are summed and exact zeros dropped, in scipy's order: a stable
+    sort on (row, col), then one `np.add.reduceat` per run, so the triplets
+    equal `coo_array.sum_duplicates()` then `eliminate_zeros()` bit for bit.
     Summing before anything reads the pattern matters: XX and YY each couple
     |00> and |11>, and only their sum cancels those entries.
     """
@@ -57,13 +60,29 @@ def _terms_sparse(n_qubits: int, terms) -> sparse.coo_array:
         idx, v = _signed_permutation(n_qubits, x_mask, z_mask, coefficient)
         cols.append(idx)
         vals.append(v)
-    # int32 indices, as scipy picks for a matrix read from a dense array; kron products inherit them
+    # int32 indices, as scipy picks for a matrix of this size; kron products inherit them
     rows = np.tile(np.arange(dim, dtype=np.int32), len(cols) - 1)
     cols = np.concatenate(cols).astype(np.int32)
-    M = sparse.coo_array((np.concatenate(vals), (rows, cols)), shape=(dim, dim))
-    M.sum_duplicates()
-    M.eliminate_zeros()
-    return M
+    vals = np.concatenate(vals)
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first)
+    vals = np.add.reduceat(vals, starts)
+    keep = vals != 0
+    return rows[starts][keep], cols[starts][keep], vals[keep]
+
+
+def _dense(n_qubits: int, triplets) -> np.ndarray:
+    """The 2^n x 2^n array of canonical COO triplets.
+
+    Added onto zeros, as scipy's `toarray` does, so a -0.0 part reads +0.0.
+    """
+    rows, cols, vals = triplets
+    out = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=complex)
+    out[rows, cols] += vals
+    return out
 
 
 def _check_word(n_qubits: int, x_mask: int, z_mask: int) -> None:
@@ -131,7 +150,7 @@ class PauliString:
         return vals * amplitudes[idx]
 
     def to_matrix(self) -> np.ndarray:
-        return _terms_sparse(self.n_qubits, [(self.x_mask, self.z_mask, self.phase)]).toarray()
+        return _dense(self.n_qubits, _terms_sparse(self.n_qubits, [(self.x_mask, self.z_mask, self.phase)]))
 
 
 @dataclass(slots=True)
@@ -173,7 +192,8 @@ class PauliObservable:
         return out
 
     def to_matrix(self) -> np.ndarray:
-        return _terms_sparse(self.n_qubits, ((x, z, c) for (x, z), c in self.terms.items())).toarray()
+        terms = ((x, z, c) for (x, z), c in self.terms.items())
+        return _dense(self.n_qubits, _terms_sparse(self.n_qubits, terms))
 
 
 def expectation(obs: PauliObservable | PauliString, state) -> complex:

@@ -5,9 +5,11 @@ small registers only.  Tests import it as `from oracles import ...`.
 """
 
 import numpy as np
+from scipy import sparse
 
 from fluxion.clifford import CliffordCircuit, Gate
 from fluxion.lindblad import DensityMatrix, LindbladSpec
+from fluxion.pauli import _signed_permutation
 
 _GATE_MATRICES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -40,6 +42,23 @@ def _gate_unitary(gate: Gate, n: int) -> np.ndarray:
             U[j, i] = 1.0
         return U
     return embed(_GATE_MATRICES[gate.name], gate.qubits[0], n)
+
+
+def canonical_coo(n_qubits: int, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of a sum of (x_mask, z_mask, coefficient) words, canonicalized by scipy.
+
+    Every word's entries in term order, int32 indices, then
+    `coo_array.sum_duplicates()` and `eliminate_zeros()`.
+    """
+    dim = 1 << n_qubits
+    parts = [_signed_permutation(n_qubits, x, z, c) for x, z, c in terms]
+    rows = np.tile(np.arange(dim, dtype=np.int32), len(parts))
+    cols = np.concatenate([np.empty(0, dtype=np.int32), *(idx for idx, _ in parts)]).astype(np.int32)
+    vals = np.concatenate([np.empty(0, dtype=complex), *(v for _, v in parts)])
+    M = sparse.coo_array((vals, (rows, cols)), shape=(dim, dim))
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    return M.row, M.col, M.data
 
 
 def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:

@@ -248,6 +248,24 @@ def test_main_rejects_non_finite_floats(tmp_path, capsys, param):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "experiment, param, diagnostic",
+    [
+        # each merged into one row or produced a header-only CSV with exit 0
+        ("universality-scan", "lambdas = 2, 2.0, 1", "lambdas must not repeat a value, got 2.0, 2.0, 1.0"),
+        ("universality-scan", "lambdas =", "lambdas must list at least one value"),
+        ("universality-scan", "lambdas = ,", "lambdas must list at least one value"),
+        ("perfect-transfer", "n_list =", "n_list must list at least one value"),
+    ],
+)
+def test_main_rejects_empty_or_repeated_lists(tmp_path, capsys, experiment, param, diagnostic):
+    config = write_config(tmp_path, f"[run]\nexperiment = {experiment}\n\n[params]\n{param}\n")
+    out = tmp_path / "out"
+    assert main([experiment, "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {diagnostic}"]
+    assert not out.exists()
+
+
 def test_threads_flag_accepts_only_one(tmp_path, capsys):
     config = write_config(
         tmp_path, "[run]\nexperiment = transfer-single\n\n[params]\nJt = 1.5\n"

@@ -1,43 +1,94 @@
-"""`import fluxion` leaves scipy.optimize and scipy.integrate unloaded.
+"""`import fluxion` loads numpy only; each run loads only what its engine calls.
 
-Only the preparation optimizer and open evolution need them, so every other
-CLI run is spared their import.  Checked in a fresh interpreter, because the
-test session itself has long since imported both.
+scipy.linalg (tridiagonal eigensolver), scipy.sparse (Lindblad generator),
+scipy.optimize (preparation optimizer), scipy.integrate (open evolution) and
+mpmath (series cross-check) are each imported on the first call of the one
+layer that needs them, so the CLI runs that use none of them are spared
+their import.  Checked in fresh interpreters, because the test session itself
+has long since imported all of them.
 """
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import fluxion
 
 SRC = str(Path(fluxion.__file__).resolve().parents[1])
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-PROBE = textwrap.dedent(
+PRELUDE = textwrap.dedent(
     """
+    import json
     import sys
 
     def loaded():
-        return [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
+        return json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")))
 
     import fluxion
     import fluxion.cli
-
-    print(loaded())
-    spec = fluxion.LindbladSpec(0.1, 0.0)
-    fluxion.open_flux_tomography(spec, 0.5, 1, fluxion.RegisterState.computational(1, 0), 2)
-    print(loaded())
     """
 )
 
 
-def test_scipy_optimize_and_integrate_load_on_first_use():
+def _probe(body: str) -> list[str]:
+    """Output lines of PRELUDE + body, run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120, check=True
+    return subprocess.run(
+        [sys.executable, "-c", PRELUDE + textwrap.dedent(body)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
     ).stdout.splitlines()
-    assert out[0] == "[]"
-    assert "'scipy.integrate'" in out[1]
+
+
+def _cli_run(experiment: str, tmp_path) -> list[str]:
+    """scipy and mpmath modules loaded by an in-process `cli.main` run of a shipped config."""
+    (line,) = _probe(
+        f"""
+        import contextlib, io
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = fluxion.cli.main([{experiment!r}, "--config", {str(CONFIGS / f"{experiment}.ini")!r},
+                                     "--out", {str(tmp_path)!r}])
+        assert code == 0, code
+        print(loaded())
+        """
+    )
+    return json.loads(line)
+
+
+def test_import_loads_numpy_only():
+    assert _probe("print(loaded())") == ["[]"]
+
+
+@pytest.mark.parametrize("experiment", ["table1", "uqcm-circuit", "uqcm-chain", "universality-scan"])
+def test_small_runs_load_no_scipy_or_mpmath(experiment, tmp_path):
+    assert _cli_run(experiment, tmp_path) == []
+
+
+def test_chain_run_loads_scipy_linalg_only(tmp_path):
+    loaded = _cli_run("transfer-single", tmp_path)
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.sparse") or m.startswith("mpmath")]
+
+
+def test_scipy_optimize_and_integrate_load_on_first_use():
+    out = _probe(
+        """
+        print(loaded())
+        spec = fluxion.LindbladSpec(0.1, 0.0)
+        fluxion.open_flux_tomography(spec, 0.5, 1, fluxion.RegisterState.computational(1, 0), 2)
+        print(loaded())
+        """
+    )
+    before, after = map(json.loads, out)
+    assert not {"scipy.optimize", "scipy.integrate"} & set(before)
+    assert "scipy.integrate" in after

@@ -2,11 +2,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluxion.pauli import PauliObservable, PauliString, expectation, qubit_mask
+from fluxion.pauli import PauliObservable, PauliString, _terms_sparse, expectation, qubit_mask
 from fluxion.states import RegisterState
+from oracles import canonical_coo
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -93,6 +94,37 @@ def test_observable_matrix_matches_kron_sum(terms):
         obs.add_string(s, coeff)
         expected += coeff * s.phase * kron_word(letters_of(s))
     assert np.abs(obs.to_matrix() - expected).max() <= 1e-15
+
+
+COEFFICIENTS = st.sampled_from([1.0, -1.0, 0.5, 1j, -0.5j]) | st.complex_numbers(
+    max_magnitude=2.0, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def pauli_sums(draw):
+    """(n, terms): random words on n = 1..6 qubits, repeats allowed, often with an XX + YY pair."""
+    n = draw(st.integers(1, 6))
+    word = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1), COEFFICIENTS)
+    terms = draw(st.lists(word, max_size=8))
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        m = qubit_mask(n, a) | qubit_mask(n, b)
+        c = draw(COEFFICIENTS)
+        terms += [(m, 0, c), (m, m, c)]  # XX + YY: the |00> <-> |11> entries cancel
+    return n, draw(st.permutations(terms))
+
+
+# oracle for the numpy summation: scipy's canonical COO of the same entries
+@settings(max_examples=200, deadline=None)
+@given(pauli_sums())
+@example((2, [(3, 0, 1.0), (3, 3, 1.0)]))  # XX + YY: only <01|H|10> and <10|H|01> survive
+def test_terms_sparse_matches_scipy_canonical_coo(case):
+    n, terms = case
+    got = _terms_sparse(n, terms)
+    for g, want in zip(got, canonical_coo(n, terms), strict=True):
+        assert g.dtype == want.dtype
+        assert g.tobytes() == want.tobytes()
 
 
 def test_apply_matches_matrix():

@@ -5,18 +5,16 @@ thermal) and pure dephasing.  Density matrices are integrated directly with
 adaptive high-order stepping.  `_generator` builds the generator S once per
 spec and qubit count, as one sparse CSR matrix on the row-major vec(rho),
 caches it on the spec and returns it; every integration's right-hand side is
-the one sparse product S @ y.  Its pieces come from `_generator_pieces`: the
-Hamiltonian and, per qubit, the jumps sigma- = (X + iY)/2, sigma+ = (X - iY)/2
-if n_bar > 0, and Z, all Pauli-word sums whose COO triplets
-`pauli._terms_sparse` assembles in numpy.  This module is the only user of
-`scipy.sparse`: the two functions above import it on the call and wrap the
-triplets as `coo_array` (`_coo`), so no other engine loads it.  The
-dense superoperator it is checked against, `superoperator` in
-tests/oracles.py, builds all its pieces independently from 2x2 matrices.
+the one sparse product S @ y.  S is a sum of 2n-qubit Pauli words, which
+`_generator_pieces` lists and `pauli._terms_sparse` sums into COO triplets
+with no stored zero, as for every other operator matrix; `_generator`'s
+`csr_array` is the package's one `scipy.sparse` call, so no other engine
+loads it.  The dense superoperator it is checked against, `superoperator`
+in tests/oracles.py, builds all its pieces independently from 2x2 matrices.
 `_partial_trace` is the one partial trace of a density matrix.
 
-Every entry point runs through `_evolve`, which integrates each interval of
-an ascending grid of times t >= 0 once.  `open_flux_trajectory` reads the
+Every entry point runs through `_evolve`, which integrates each interval of an
+ascending grid of finite times t >= 0 once.  `open_flux_trajectory` reads the
 flux at every grid time from three evolved operator units of the input
 qubit, |0><0|, |1><1| and |0><1| (|1><0| is the adjoint of the evolved
 |0><1|); the two diagonal units pass the `DensityMatrix` checks at every
@@ -97,39 +95,42 @@ class LindbladSpec:
             raise ValueError(f"rates and occupation must be finite and >= 0, got {rates}")
 
 
-def _coo(n: int, triplets):
-    """COO triplets from `pauli._terms_sparse` as a 2^n x 2^n `scipy.sparse.coo_array`."""
-    from scipy import sparse
+def _sandwich(n: int, a, b, scale: complex = 1.0):
+    """2n-qubit words of rho -> scale A rho B^dag, which is scale A x B* on the row-major vec(rho).
 
-    M = sparse.coo_array((triplets[2], triplets[:2]), shape=(1 << n, 1 << n))
-    M.has_canonical_format = True  # sorted, summed and zero-free, so scipy skips re-summing
-    return M
+    A's masks are shifted up by n; a word's conjugate is the word times (-1)^{|x & z|}.
+    """
+    return [
+        (xa << n | xb, za << n | zb, scale * ca * np.conj(cb) * (-1) ** (xb & zb).bit_count())
+        for xa, za, ca in a for xb, zb, cb in b
+    ]
 
 
 def _generator_pieces(spec: LindbladSpec, n: int):
-    """Sparse H, the jump operators L (none for a zero rate) and K = sum_L L^dag L."""
-    from scipy import sparse
+    """COO triplets of S from its 2n-qubit words; words with a zero coefficient are left out.
 
+    The jumps per qubit are sigma- = (X + iY)/2, sigma+ = (X - iY)/2 and Z,
+    scaled by the square roots of their rates; H and K are Hermitian, so rho H = rho H^dag.
+    """
     h = spec.hamiltonian
     if h is not None and h.n_qubits != n:
         raise ValueError("Hamiltonian qubit count mismatch")
-    H = _coo(n, _terms_sparse(n, []) if h is None else h._sparse())
+    H = [] if h is None else [(s.x_mask, s.z_mask, c * s.phase) for c, s in h.terms]
+    eye = [(0, 0, 1.0)]
+    masks = [qubit_mask(n, q) for q in range(1, n + 1)]
     lower = np.sqrt(spec.damping_rate * (spec.n_bar + 1))
     raise_ = np.sqrt(spec.damping_rate * spec.n_bar)
-    dephase = np.sqrt(spec.dephasing_rate)
-    words = []
-    for q in range(1, n + 1):
-        m = qubit_mask(n, q)
-        if spec.damping_rate > 0:
-            words.append([(m, 0, 0.5 * lower), (m, m, 0.5j * lower)])
-            if spec.n_bar > 0:
-                words.append([(m, 0, 0.5 * raise_), (m, m, -0.5j * raise_)])
-        if spec.dephasing_rate > 0:
-            words.append([(0, m, dephase)])
-    jumps = [_coo(n, _terms_sparse(n, w)) for w in words]
-    # K = J^dag J with J the jumps stacked, one product; the empty block keeps J defined without jumps
-    J = sparse.vstack([_coo(n, _terms_sparse(n, [])), *jumps])
-    return H, jumps, J.conj().T @ J
+    jumps = [[(m, 0, 0.5 * lower), (m, m, 0.5j * lower)] for m in masks]
+    jumps += [[(m, 0, 0.5 * raise_), (m, m, -0.5j * raise_)] for m in masks]
+    jumps += [[(0, m, np.sqrt(spec.dephasing_rate))] for m in masks]
+    # K = sum_L L^dag L from sigma-^dag sigma- = (I - Z)/2, sigma+^dag sigma+ = (I + Z)/2, Z^dag Z = I
+    K = [(0, 0, n * (spec.damping_rate * (spec.n_bar + 0.5) + spec.dephasing_rate))]
+    K += [(0, m, -0.5 * spec.damping_rate) for m in masks]
+    words = _sandwich(n, H, eye, -1j) + _sandwich(n, eye, H, 1j)
+    words += _sandwich(n, K, eye, -0.5) + _sandwich(n, eye, K, -0.5)
+    for L in jumps:
+        words += _sandwich(n, L, L)
+    return _terms_sparse(2 * n, [w for w in words if w[2] != 0])
 
 
 def _generator(spec: LindbladSpec, n: int):
@@ -140,19 +141,10 @@ def _generator(spec: LindbladSpec, n: int):
     """
     generators = vars(spec).setdefault("_generators", {})
     if n not in generators:
-        H, jumps, K = _generator_pieces(spec, n)
-        from scipy import sparse  # loaded by _generator_pieces, so the cost shows in that layer
+        rows, cols, vals = _generator_pieces(spec, n)
+        from scipy import sparse
 
-        eye = _coo(n, _terms_sparse(n, [(0, 0, 1.0)]))
-        factors = [(-1j * H, eye), (eye, 1j * H.T), (-0.5 * K, eye), (eye, -0.5 * K.T)]
-        factors += [(L, L.conj()) for L in jumps]
-        blocks = [sparse.kron(A, B, format="coo") for A, B in factors]
-        # duplicate (row, col) entries are summed when the triplets are converted
-        data = np.concatenate([b.data for b in blocks])
-        rows = np.concatenate([b.row for b in blocks])
-        cols = np.concatenate([b.col for b in blocks])
-        size = 1 << 2 * n
-        generators[n] = sparse.csr_array((data, (rows, cols)), shape=(size, size))
+        generators[n] = sparse.csr_array((vals, (rows, cols)), shape=(1 << 2 * n,) * 2)
     return generators[n]
 
 
@@ -176,8 +168,8 @@ def _evolve(entries: np.ndarray, spec: LindbladSpec, n: int, t_grid):
     if n > OPEN_QUBIT_CAP:
         raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
     t_grid = np.asarray(t_grid, dtype=float)
-    if not (t_grid >= 0).all():
-        raise ValueError("times must be >= 0")
+    if not (np.isfinite(t_grid) & (t_grid >= 0)).all():
+        raise ValueError("times must be finite and >= 0")
     if not (np.diff(t_grid) >= 0).all():
         raise ValueError("time grid must be ascending")
     S = _generator(spec, n)

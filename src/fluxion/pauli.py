@@ -6,11 +6,11 @@ A string is stored as the Hermitian word  i^{|x & z|} X^x Z^z  times an
 explicit phase in {1, i, -1, -i}; a qubit with both mask bits set carries
 Y = i X Z.  Phase +-1 therefore means the operator is Hermitian.
 
-Every word is a signed permutation matrix.  `_signed_permutation` is the one
-index/sign kernel: both `apply` methods gather through it, and
-`_terms_sparse`, the one place an operator matrix is assembled, sums its
-entries into canonical COO triplets with numpy alone; `_dense` writes them
-into the array both `to_matrix` methods return.
+Every word is a signed permutation matrix, row r to column r ^ x_mask.
+`_signed_permutation` is the one index/sign kernel: both `apply` methods
+gather through it, and `_terms_sparse`, the one place an operator matrix is
+assembled (the 2n-qubit Lindblad generator included), sums the words of each
+x_mask into canonical COO triplets; `_dense` writes them into an array.
 """
 
 from __future__ import annotations
@@ -47,31 +47,30 @@ def _signed_permutation(n_qubits: int, x_mask: int, z_mask: int, coefficient: co
 def _terms_sparse(n_qubits: int, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-major COO triplets (rows, cols, vals) of a sum of (x_mask, z_mask, coefficient) words.
 
-    Duplicates are summed and exact zeros dropped, in scipy's order: a stable
-    sort on (row, col), then one `np.add.reduceat` per run, so the triplets
-    equal `coo_array.sum_duplicates()` then `eliminate_zeros()` bit for bit.
-    Summing before anything reads the pattern matters: XX and YY each couple
-    |00> and |11>, and only their sum cancels those entries.
+    Words are grouped by x_mask, which fixes the pattern, one group at a time.
+    Each entry's words are summed by `np.add.reduceat` in term order, each
+    row's columns sorted and exact zeros dropped, so the triplets equal scipy's
+    COO `sum_duplicates()` then `eliminate_zeros()` bit for bit.  XX and YY each
+    couple |00> and |11>: only their sum, taken before the pattern is read, cancels.
     """
     dim = 1 << n_qubits
-    cols = [np.empty(0, dtype=np.int64)]
-    vals = [np.empty(0, dtype=complex)]
+    groups: dict[int, list] = {}
     for x_mask, z_mask, coefficient in terms:
-        idx, v = _signed_permutation(n_qubits, x_mask, z_mask, coefficient)
-        cols.append(idx)
-        vals.append(v)
-    # int32 indices, as scipy picks for a matrix of this size; kron products inherit them
-    rows = np.tile(np.arange(dim, dtype=np.int32), len(cols) - 1)
-    cols = np.concatenate(cols).astype(np.int32)
-    vals = np.concatenate(vals)
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(first)
-    vals = np.add.reduceat(vals, starts)
+        groups.setdefault(x_mask, []).append((z_mask, coefficient))
+    # int32 indices, as scipy picks for a matrix of this size
+    cols = np.empty((len(groups), dim), dtype=np.int32)
+    vals = np.empty((len(groups), dim), dtype=complex)
+    for g, (x_mask, words) in enumerate(groups.items()):
+        stacked = np.empty((len(words), dim), dtype=complex)
+        for k, (z_mask, coefficient) in enumerate(words):
+            cols[g], stacked[k] = _signed_permutation(n_qubits, x_mask, z_mask, coefficient)
+        vals[g] = np.add.reduceat(stacked.T.ravel(), np.arange(0, stacked.size, len(words)))
+    order = np.argsort(cols.T, axis=1)
+    cols = np.take_along_axis(cols.T, order, axis=1).ravel()
+    vals = np.take_along_axis(vals.T, order, axis=1).ravel()
+    rows = np.repeat(np.arange(dim, dtype=np.int32), len(groups))
     keep = vals != 0
-    return rows[starts][keep], cols[starts][keep], vals[keep]
+    return rows[keep], cols[keep], vals[keep]
 
 
 def _dense(n_qubits: int, triplets) -> np.ndarray:

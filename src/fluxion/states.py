@@ -8,6 +8,7 @@ read-out, and `bloch_components` is the one 2x2 -> Bloch formula.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,14 @@ class RegisterState:
 
     @classmethod
     def computational(cls, n_qubits: int, bits: int = 0) -> "RegisterState":
+        try:
+            index = operator.index(bits)
+        except TypeError:
+            raise ValueError(f"bits must be an integer, got {bits!r}") from None
+        if not 0 <= index < 1 << n_qubits:
+            raise ValueError(f"bits {index} out of range 0..{(1 << n_qubits) - 1}")
         amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[bits] = 1.0
+        amps[index] = 1.0
         return cls(n_qubits, amps)
 
     @classmethod

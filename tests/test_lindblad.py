@@ -62,8 +62,9 @@ def test_spec_validation():
         for rates in ((bad, 0.0), (0.1, bad), (0.1, 0.0, bad)):
             with pytest.raises(ValueError, match="finite"):
                 LindbladSpec(*rates)
-    _, jumps, _ = lindblad._generator_pieces(LindbladSpec(0.0, 0.0), 1)
-    assert jumps == []
+    # zero rates and no Hamiltonian: S = 0, with no stored entry
+    for triplet in lindblad._generator_pieces(LindbladSpec(0.0, 0.0), 1):
+        assert triplet.size == 0
 
 
 def test_damping_population_law():
@@ -279,7 +280,9 @@ def test_unit_readout_matches_four_input_tomography(case, t, seed, data):
     assert np.abs(direct - oracle).max() < 1e-10
 
 
-def test_three_integrations_per_tomography(monkeypatch):
+@pytest.fixture
+def integrations(monkeypatch):
+    """The (start, end) span of every `lindblad.solve_ivp` call the test makes."""
     calls = []
     original = lindblad.solve_ivp
 
@@ -288,30 +291,26 @@ def test_three_integrations_per_tomography(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(lindblad, "solve_ivp", counted)
+    return calls
+
+
+def test_three_integrations_per_tomography(integrations):
     spec = LindbladSpec(0.2, 0.05, 0.1, SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(3, 1.0, 0.8)))
     register = RegisterState.computational(2, 0)
     open_flux_tomography(spec, 0.0, 1, register, 3)
-    assert calls == []
+    assert integrations == []
     open_flux_tomography(spec, 0.6, 1, register, 3)
-    assert calls == [(0.0, 0.6)] * 3
+    assert integrations == [(0.0, 0.6)] * 3
     # a grid integrates each nonzero interval once per unit, from the previous grid time
-    calls.clear()
+    integrations.clear()
     fluxes = open_flux_trajectory(spec, [0.0, 0.3, 0.3, 0.6, 1.0], 1, register, 3)
     assert len(fluxes) == 5
-    assert calls == [(0.0, 0.3)] * 3 + [(0.3, 0.6)] * 3 + [(0.6, 1.0)] * 3
+    assert integrations == [(0.0, 0.3)] * 3 + [(0.3, 0.6)] * 3 + [(0.6, 1.0)] * 3
 
 
 @pytest.mark.parametrize("bad", [0, 4])
-def test_out_of_range_qubit_rejected(monkeypatch, bad):
+def test_out_of_range_qubit_rejected(integrations, bad):
     """Input or target qubit 0 or n + 1 raises, in the open engine before any integration."""
-    calls = []
-    original = lindblad.solve_ivp
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(lindblad, "solve_ivp", counted)
     h = SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(3, 1.0, 0.8))
     spec = LindbladSpec(0.2, 0.05, 0.1, h)
     register = RegisterState.computational(2, 0)
@@ -323,7 +322,31 @@ def test_out_of_range_qubit_rejected(monkeypatch, bad):
             open_flux_tomography(spec, 5.0, input_qubit, register, target_qubit)
     with pytest.raises(ValueError, match=message):
         reduced_qubit(RegisterState.computational(3, 0), bad)
-    assert calls == []
+    assert integrations == []
+
+
+def test_infinite_time_rejected_before_integration(integrations):
+    """An infinite time would start an integration that never ends."""
+    spec = LindbladSpec(0.1, 0.0)
+    rho0 = DensityMatrix.from_state(RegisterState.computational(1, 1))
+    with pytest.raises(ValueError, match="finite"):
+        evolve_density(rho0, spec, np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        expectation_trajectory(spec, PauliString.from_label(1, "Z1"), rho0, [0.0, 1.0, np.inf])
+    with pytest.raises(ValueError, match="finite"):
+        open_flux_tomography(spec, np.inf, 1, RegisterState.empty(), 1)
+    with pytest.raises(ValueError, match="finite"):
+        open_flux_trajectory(spec, [0.5, np.inf], 1, RegisterState.empty(), 1)
+    assert integrations == []
+
+
+@pytest.mark.parametrize("rates", [(0.0, 0.0, 0.0), (0.1, 0.05, 0.2)])
+def test_generator_stores_exactly_its_nonzeros(rates):
+    """S keeps no stored zero, so its pattern is the dense generator's nonzero pattern."""
+    spec = LindbladSpec(*rates, hamiltonian=SpinHamiltonian.heisenberg_chain(3, 0.6, 1.2))
+    S = lindblad._generator(spec, 3)
+    assert (S.data != 0).all()
+    assert S.nnz == np.count_nonzero(superoperator(spec, 3))
 
 
 def test_generator_built_once_per_spec(monkeypatch):

@@ -44,6 +44,17 @@ def test_register_amplitudes_read_only():
         state.amplitudes[0] = 0.0
 
 
+def test_computational_bits_checked():
+    """bits must index a basis state; a negative index would otherwise wrap around to |11>."""
+    assert RegisterState.computational(2, np.int64(3)).amplitudes[3] == 1.0
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match=f"bits {bad} out of range 0..3"):
+            RegisterState.computational(2, bad)
+    for bad in (1.0, "1", None):
+        with pytest.raises(ValueError, match="bits must be an integer"):
+            RegisterState.computational(2, bad)
+
+
 def test_empty_register():
     e = RegisterState.empty()
     assert e.n_qubits == 0

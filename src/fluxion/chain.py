@@ -1,16 +1,17 @@
 """State transfer through open XY chains in the single-excitation sector.
 
-The production path diagonalizes the tridiagonal hopping matrix and sums the
-modes over half the spectrum.  The hopping matrix has zero diagonal (every
-CouplingProfile has no on-site terms), so the chain is bipartite and its
-spectrum comes in exact +-lam pairs.  Each propagator element from the far
-end is then a real cosine sum or an imaginary sine sum over lam > 0, by the
-parity of the site distance: the end-to-end amplitude f(t) is real for odd
-N and imaginary for even N.  The power series evaluator reproduces the same
-coefficients as a cross-check, with explicit truncation accounting: it
-streams one vector of Taylor terms T^m e_1 t^m / m! in arbitrary precision,
-each from the last by one product with the coupling matrix, and never
-forms the powers of T.
+The production path solves the tridiagonal hopping matrix M from a block of
+half its size.  M has zero diagonal (every CouplingProfile has no on-site
+terms), so the chain is bipartite: M only couples the sites of the far
+end's parity to the others, through a bidiagonal block C.  The thin SVD of
+C gives the spectrum of M as exact +-sigma pairs and each propagator
+element from the far end as a real cosine sum or an imaginary sine sum over
+sigma, by the parity of the site distance: the end-to-end amplitude f(t) is
+real for odd N and imaginary for even N.  The power series evaluator
+reproduces the same coefficients as a cross-check, with explicit truncation
+accounting: it streams one vector of Taylor terms T^m e_1 t^m / m! in
+arbitrary precision, each from the last by one product with the coupling
+matrix, and never forms the powers of T.
 """
 
 from __future__ import annotations
@@ -100,52 +101,63 @@ class DisorderSpec:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def eigh_tridiagonal(d, e):
-    """`scipy.linalg.eigh_tridiagonal`, imported on the first call.
+def eigh_tridiagonal(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Modes of the zero-diagonal tridiagonal M with off-diagonal `couplings`.
 
-    Only the single-excitation engine diagonalizes a tridiagonal matrix, so
-    `import fluxion` does not pay for loading `scipy.linalg`.
+    M couples only sites of opposite parity, so it is [[0, C], [C^T, 0]] on
+    (P, Q), C the |P| x |Q| bidiagonal coupling block.  Returns (X, sigma, Y)
+    of the thin SVD C = X diag(sigma) Y^T: the modes of M are (x, +-y)/sqrt(2)
+    at +-sigma, plus the null space of C^T or C at zero.
     """
-    from scipy.linalg import eigh_tridiagonal as scipy_eigh_tridiagonal
-
-    return scipy_eigh_tridiagonal(d, e)
+    n = couplings.size + 1
+    # coupling j joins sites j and j+1; site s is entry s // 2 of P or of Q
+    left = np.arange(n - 1)
+    in_p = left % 2 == (n - 1) % 2
+    block = np.zeros(((n + 1) // 2, n // 2))
+    block[np.where(in_p, left, left + 1) // 2, np.where(in_p, left + 1, left) // 2] = couplings
+    X, sigma, Yt = np.linalg.svd(block, full_matrices=False)
+    return X, sigma, Yt.T
 
 
 def _end_column(profile: CouplingProfile, t: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Real mode sums R[a, b] for U_{i,N}(t) = <i|exp(-iMt)|N>, i = sites[b], t = t[a].
 
-    U_{i,N} is R where i+N-1 is even and -1j*R where it is odd (i 0-based).
-    M has zero diagonal, so S = diag((-1)^j) gives S M S = -M and
-    S P_lam S = P_{-lam}: the spectrum comes in +-lam pairs whose weights
-    w = V[i]V[N-1] agree up to the sign (-1)^(i+N-1).  A pair therefore adds
-    (w_+ + w_-) cos(lam t) to even and (w_+ - w_-) sin(lam t) to odd
-    elements, and only the upper half of the spectrum is evaluated.  Using
-    both computed weights rather than 2 w_+ cancels, to first order, the
-    rotation eigh may apply to a nearly degenerate pair.  The zero eigenspace
-    (degenerate once a coupling vanishes) adds a constant to even elements,
-    which U(0) = 1 fixes without its eigenvectors.
+    U_{i,N} is R where i+N-1 is even (i in P, 0-based) and -1j*R where it is
+    odd (i in Q).  With C = X diag(sigma) Y^T from `eigh_tridiagonal`,
+
+        exp(-iMt) = [[X cos(sigma t) X^T + (I - X X^T), -1j X sin(sigma t) Y^T],
+                     [-1j Y sin(sigma t) X^T,           ...                    ]]
+
+    so R is a cosine sum with weights X[i] X[N] on P and a sine sum with
+    weights Y[i] X[N] on Q.  The +-sigma pairing is exact by construction.
+    The constant delta_{iN} - sum X[i] X[N] on P is the zero eigenspace of M,
+    degenerate once a coupling vanishes, fixed by U(0) = 1 without its
+    eigenvectors.
     """
     if not np.isfinite(t).all():
         raise ValueError(f"t must be finite, got t={t[~np.isfinite(t)][0]}")
     n = profile.n_qubits
-    _, V = eigh_tridiagonal(np.zeros(n), profile.couplings)
-    h = n // 2
-    # eigenvalues ascend, so column n-h+m pairs with its mirror h-1-m
-    top, bottom = V[:, n - h :], V[:, h - 1 :: -1]
-    upper = top[sites] * top[-1]
-    lower = bottom[sites] * bottom[-1]
-    # extended-precision Rayleigh quotients: eigenvalues to rounding, so the
-    # phases lam*t stay accurate at long times
-    x = top.astype(np.longdouble)
+    X, _, Y = eigh_tridiagonal(profile.couplings)
+    p = (n - 1) % 2
+    V = np.empty((n, X.shape[1]))  # x on P, y on Q, site by site
+    V[p::2], V[1 - p :: 2] = X, Y
+    weights = V[sites] * V[-1]
+    # extended-precision Rayleigh quotients x^T C y / (|x| |y|), where
+    # x^T C y = sum_j J_j V[j] V[j+1]: singular values to rounding, so the
+    # phases sigma*t stay accurate at long times
+    v = V.astype(np.longdouble)
+    x, y = v[p::2], v[1 - p :: 2]
     c = profile.couplings.astype(np.longdouble)
-    lam = 2 * np.einsum("i,ij,ij->j", c, x[:-1], x[1:]) / np.einsum("ij,ij->j", x, x)
-    phases = np.outer(t, lam.astype(float))
+    sigma = np.einsum("i,ij,ij->j", c, v[:-1], v[1:]) / np.sqrt(
+        np.einsum("ij,ij->j", x, x) * np.einsum("ij,ij->j", y, y)
+    )
+    phases = np.outer(t, sigma.astype(float))
     even = (sites + n - 1) % 2 == 0
     out = np.empty((t.size, sites.size))
     if not even.all():
-        out[:, ~even] = np.sin(phases) @ (upper - lower)[~even].T
+        out[:, ~even] = np.sin(phases) @ weights[~even].T
     if even.any():
-        pair = (upper + lower)[even]
+        pair = weights[even]
         cos = np.cos(phases, out=phases)
         out[:, even] = cos @ pair.T + ((sites[even] == n - 1) - pair.sum(axis=1))
     return out

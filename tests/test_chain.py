@@ -115,8 +115,8 @@ def chains(draw):
 
     Zero edge couplings (eta = 0) isolate the end sites and make the zero
     eigenvalue degenerate.  A weak link between two blocks splits their zero
-    modes into a nearly degenerate +-lam pair, which eigh may return in any
-    rotated basis.
+    modes into nearly degenerate small singular values, whose vectors the SVD
+    may return in any rotated basis.
     """
     n = draw(st.integers(2, 40))
     coupling = st.one_of(
@@ -153,6 +153,35 @@ def test_mode_sums_match_full_eigh(prof, times):
         raw = column[k, ::-1]
         expected = np.where(np.arange(1, n + 1) % 2 == 1, raw.real, -raw.imag)
         assert np.abs(propagator_coefficients(prof, t) - expected).max() <= 1e-10
+
+
+def _disordered_with_one_negative_coupling() -> CouplingProfile:
+    base = CouplingProfile.uniform_eta(101, 1.0, 0.5)
+    couplings = CouplingProfile.disordered(base, 0.05, np.random.default_rng(3)).couplings.copy()
+    couplings[60] = -couplings[60]
+    return CouplingProfile(101, couplings)
+
+
+@pytest.mark.parametrize(
+    "prof, times",
+    [
+        (CouplingProfile.uniform_eta(201, 1.0, 0.5), first_arrival_window(201)),
+        (_disordered_with_one_negative_coupling(), np.array([55.1, 60.0])),
+    ],
+    ids=["201-sites-first-arrival", "101-sites-disordered-negative"],
+)
+def test_mode_sums_match_full_eigh_long_chains(prof, times):
+    """The chain lengths and times the transfer experiments run, past the hypothesis
+    test's 40 sites and t <= 50, against a dense eigh of M."""
+    n = prof.n_qubits
+    assert prof.has_negative_coupling == (n == 101)
+    w, V = np.linalg.eigh(np.diag(prof.couplings, 1) + np.diag(prof.couplings, -1))
+    column = (np.exp(-1j * np.outer(times, w)) * V[-1]) @ V.T
+    assert np.abs(amplitude_curve(prof, times) - column[:, 0]).max() <= 1e-10
+    raw = column[:, ::-1]
+    expected = np.where(np.arange(1, n + 1) % 2 == 1, raw.real, -raw.imag)
+    for k in np.unique(np.linspace(0, times.size - 1, 12).astype(int)):
+        assert np.abs(propagator_coefficients(prof, times[k]) - expected[k]).max() <= 1e-10
 
 
 def test_mirror_symmetry():

@@ -49,7 +49,7 @@ from .dense import (
     unitary_flux_tomography,
     uqcm_chain_fidelity,
 )
-from .flux import FluxMatrix, cloning_fidelity, solve_affine, transfer_fidelity
+from .flux import FluxMatrix, cloning_fidelity, solve_affine
 from .lindblad import (
     DensityMatrix,
     LindbladSpec,

@@ -10,12 +10,13 @@ sigma, by the parity of the site distance: the end-to-end amplitude f(t) is
 real for odd N and imaginary for even N.  The power series evaluator
 reproduces the same coefficients as a cross-check, with explicit truncation
 accounting: it streams one vector of Taylor terms T^m e_1 t^m / m! in
-arbitrary precision, each from the last by one product with the coupling
+decimal arithmetic, each from the last by one product with the coupling
 matrix, and never forms the powers of T.
 """
 
 from __future__ import annotations
 
+import decimal
 import operator
 from dataclasses import dataclass
 
@@ -199,36 +200,40 @@ class SeriesResult:
     terms_used: int
 
 
+def series_digits(jmax: float, t: float) -> float:
+    """Digits of `series_flux` at |couplings| <= jmax: the peak raw term e^{2 jmax |t|}, plus 40."""
+    return 2 * jmax * abs(t) / np.log(10.0) + 40
+
+
 def series_flux(profile: CouplingProfile, t: float, truncation_order: int) -> SeriesResult:
     """Site coefficients via the alternating power series of the recurrence.
 
     Streams u_m = T^m e_1 t^m / m!, with T the coupling matrix read from the
     far end, and adds term m with sign + for m mod 4 < 2 and - otherwise.
-    Works in arbitrary precision: raw terms grow like (J_max t)^m / m!
-    before cancelling, so the working precision is scaled to the peak term.
+    Works in `decimal` at `series_digits` significant digits and the widest
+    exponent range: raw terms grow like (2 J_max t)^m / m! before cancelling.
     The reported bound is the first omitted term's magnitude, the largest
     entry of u over m = order + 1 and order + 2, and must beat the 1e-10
     target, otherwise the truncation is rejected.
     """
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got t={t}")
+    digits = series_digits(float(np.abs(profile.couplings).max()), t)
+    if not np.isfinite(digits):
+        raise ValueError(f"t must be finite and Jmax |t| within float range, got t={t}")
     n = profile.n_qubits
     if truncation_order < n - 1:
         raise TruncationError(f"order {truncation_order} cannot reach site {n}")
-    import mpmath  # loaded here, not at import: only this cross-check runs in arbitrary precision
-
-    jmax = float(np.abs(profile.couplings).max())
-    dps = int(2 * jmax * abs(t) / np.log(10.0)) + 40
-    with mpmath.workdps(dps):
-        mt = mpmath.mpf(t)
-        zero = mpmath.mpf(0)
+    context = decimal.Context(prec=int(digits), Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(context):
+        D = decimal.Decimal
+        dt = D(float(t))
+        zero = D(0)
         # a zero site at each end, so every site has two neighbours
-        rev = [zero, *(mpmath.mpf(float(c)) for c in profile.couplings[::-1]), zero]
-        u = [zero, mpmath.mpf(1), *[zero] * n]
+        rev = [zero, *(D(float(c)) for c in profile.couplings[::-1]), zero]
+        u = [zero, D(1), *[zero] * n]
         total = u[1:-1]
         bound = zero
         for m in range(1, truncation_order + 3):
-            step = mt / m
+            step = dt / m
             inner = ((rev[k - 1] * u[k - 1] + rev[k] * u[k + 1]) * step for k in range(1, n + 1))
             u = [zero, *inner, zero]
             if m > truncation_order:

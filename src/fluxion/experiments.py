@@ -81,8 +81,8 @@ def _array_sizes(experiment: str, p: dict) -> dict[str, float]:
         # not an array: a bound on the recurrence's site updates, held to the same limit
         steps = (p["truncation_order"] + 3) * p["n_qubits"]
         sizes["the series recurrence steps ((truncation_order + 3) x n_qubits)"] = _count(steps)
-        # mpmath digits held by the recurrence: n_qubits + 2 sites at chain.series_flux's precision
-        digits = 2 * max(1.0, abs(p["eta"])) * p["Jt"] / np.log(10.0) + 40
+        # decimal digits held by the recurrence: n_qubits + 2 sites at chain.series_flux's precision
+        digits = chain.series_digits(max(1.0, abs(p["eta"])), p["Jt"])
         sizes["the series working digits ((n_qubits + 2) x digits)"] = _count(p["n_qubits"] + 2) * digits
     return sizes
 

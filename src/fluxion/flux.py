@@ -75,9 +75,6 @@ def cloning_fidelity(flux: FluxMatrix, input_bloch: BlochVector) -> float:
     return float(0.5 * (1.0 + r @ flux.bloch_map(r)))
 
 
-transfer_fidelity = cloning_fidelity
-
-
 def flux_columns(b00, b11, b01):
     """Flux columns X, Y, Z, I from the target's responses b_ab to the input units |a><b|.
 

@@ -47,15 +47,16 @@ class DensityMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex).copy()
+        arr = np.asarray(self.entries, dtype=complex)
         dim = 1 << self.n_qubits
         if arr.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix")
+        if not (np.abs(arr - arr.conj().T).max() <= HERMITICITY_TOL):
+            raise ValueError("matrix is not Hermitian")
+        arr = 0.5 * (arr + arr.conj().T)  # stored Hermitian part: drops integrator roundoff asymmetry
         trace = np.trace(arr)
         if not (abs(trace.real - 1.0) <= TRACE_TOL and abs(trace.imag) <= TRACE_TOL):
             raise ValueError(f"trace {trace} is not 1")
-        if not (np.abs(arr - arr.conj().T).max() <= HERMITICITY_TOL):
-            raise ValueError("matrix is not Hermitian")
         if not (np.linalg.eigvalsh(arr).min() >= -POSITIVITY_TOL):
             raise ValueError("matrix has a significantly negative eigenvalue")
         arr.setflags(write=False)
@@ -186,13 +187,9 @@ def _evolve(entries: np.ndarray, spec: LindbladSpec, n: int, t_grid):
         yield y.reshape(entries.shape)
 
 
-def _density(n: int, rho: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(n, 0.5 * (rho + rho.conj().T))  # remove integrator roundoff asymmetry
-
-
 def evolve_density(rho0: DensityMatrix, spec: LindbladSpec, t: float) -> DensityMatrix:
     (rho,) = _evolve(rho0.entries, spec, rho0.n_qubits, [t])
-    return _density(rho0.n_qubits, rho)
+    return DensityMatrix(rho0.n_qubits, rho)
 
 
 def open_flux_trajectory(
@@ -214,7 +211,7 @@ def open_flux_trajectory(
     units = [np.outer(a, b.conj()) for a, b in ((k0, k0), (k1, k1), (k0, k1))]
     fluxes = []
     for t, rho00, rho11, coherence in zip(t_grid, *(_evolve(u, spec, n, t_grid) for u in units)):
-        r00, r11 = (_partial_trace(_density(n, rho).entries, n, target_qubit) for rho in (rho00, rho11))
+        r00, r11 = (_partial_trace(DensityMatrix(n, rho).entries, n, target_qubit) for rho in (rho00, rho11))
         r01 = _partial_trace(coherence, n, target_qubit)
         fluxes.append(flux_readout(r00, r11, r01, target_qubit, float(t)))
     return fluxes

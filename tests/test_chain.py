@@ -35,7 +35,7 @@ def test_profile_validation():
         prof.couplings[0] = 9.0
     assert not prof.has_negative_coupling
     assert np.allclose(prof.reversed().couplings, prof.couplings[::-1])
-    # unchecked, nan fails far from its source: in eigh_tridiagonal or as int(nan) in series_flux
+    # unchecked, nan fails far from its source: in eigh_tridiagonal or in series_flux's digit count
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             CouplingProfile(3, [bad, 1.0])
@@ -184,6 +184,25 @@ def test_mode_sums_match_full_eigh_long_chains(prof, times):
         assert np.abs(propagator_coefficients(prof, times[k]) - expected[k]).max() <= 1e-10
 
 
+def test_long_time_phases_match_extended_precision_modes():
+    """At Jt = 1e3 and 1e4 the phases sigma*t need sigma to rounding, which the
+    long-double Rayleigh quotients give and LAPACK's singular values alone do not
+    (2.6e-13 and 1.1e-12 off here, against 2.2e-14 and 6.0e-14)."""
+    couplings = 1 + 0.05 * np.random.default_rng(0).normal(size=20)
+    times = (1e3, 1e4)
+    with mpmath.workdps(40):
+        M = mpmath.zeros(21, 21)
+        for k, c in enumerate(couplings):
+            M[k, k + 1] = M[k + 1, k] = mpmath.mpf(float(c))
+        E, Q = mpmath.eigsy(M)
+        reference = [
+            complex(mpmath.fsum(Q[0, k] * Q[20, k] * mpmath.exp(-1j * E[k] * t) for k in range(21)))
+            for t in times
+        ]
+    curve = amplitude_curve(CouplingProfile(21, couplings), times)
+    assert np.abs(curve - reference).max() <= 3e-13
+
+
 def test_mirror_symmetry():
     rng = np.random.default_rng(11)
     prof = CouplingProfile(7, rng.uniform(0.3, 1.2, size=6))
@@ -254,6 +273,15 @@ def test_series_matches_propagator_mixed_signs(case):
     assert res.terms_used == order
     omitted = _first_omitted_term(prof, t, order)
     assert res.truncation_bound == pytest.approx(omitted, rel=1e-12, abs=0)
+
+
+def test_series_digits_overflow_to_inf():
+    """Jt = 1e308 needs infinitely many digits: a float inf the config check rejects,
+    where int(inf) used to raise OverflowError; series_flux raises ValueError."""
+    assert chain.series_digits(1.0, 1e308) == np.inf
+    assert chain.series_digits(0.5, -2.0) == pytest.approx(2 / np.log(10) + 40)
+    with pytest.raises(ValueError, match="t=1e"):
+        series_flux(CouplingProfile.uniform_eta(3, 1.0, 1.0), 1e308, 20)
 
 
 def test_series_truncation_guard():

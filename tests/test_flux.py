@@ -8,7 +8,6 @@ from fluxion.flux import (
     flux_columns,
     flux_readout,
     solve_affine,
-    transfer_fidelity,
 )
 from fluxion.states import BlochVector
 
@@ -52,12 +51,6 @@ def test_fidelity_of_shrinking_map():
     for r in ([0, 0, 1], [1, 0, 0], [0.6, 0.0, 0.8]):
         b = BlochVector.from_array(r)
         assert cloning_fidelity(fm, b) == pytest.approx(5 / 6)
-
-
-def test_transfer_fidelity_is_same_formula():
-    fm = diag_flux(0.4)
-    b = BlochVector(0, 0, -1)
-    assert transfer_fidelity(fm, b) == cloning_fidelity(fm, b)
 
 
 def test_offset_contributes_affinely():

@@ -1,15 +1,20 @@
 """`import fluxion` loads numpy only; each run loads only what its engine calls.
 
-scipy.sparse (Lindblad generator), scipy.optimize (preparation optimizer),
-scipy.integrate (open evolution) and mpmath (series cross-check) are each
-imported on the first call of the one layer that needs them, and the chain
-engine solves its modes with numpy alone, so the CLI runs that use none of
-them are spared their import.  Checked in fresh interpreters, because the
-test session itself has long since imported all of them.
+scipy.sparse (Lindblad generator), scipy.optimize (preparation optimizer)
+and scipy.integrate (open evolution) are each imported on the first call of
+the one layer that needs them, the chain engine solves its modes with numpy
+alone and the series cross-check runs on the standard library's decimal,
+so the CLI runs that use none of them are spared their import.  Checked in
+fresh interpreters, because the test session itself has long since
+imported all of them; mpmath, a test-only dependency, must stay unloaded
+too.  The third-party modules the package imports anywhere must be exactly
+its declared runtime dependencies.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -71,16 +76,18 @@ def test_import_loads_numpy_only():
 
 @pytest.mark.parametrize(
     "experiment",
-    ["table1", "uqcm-circuit", "uqcm-chain", "universality-scan", "transfer-single", "perfect-transfer"],
+    [
+        "table1",
+        "uqcm-circuit",
+        "uqcm-chain",
+        "universality-scan",
+        "transfer-single",
+        "perfect-transfer",
+        "series-check",
+    ],
 )
 def test_small_runs_load_no_scipy_or_mpmath(experiment, tmp_path):
     assert _cli_run(experiment, tmp_path) == []
-
-
-def test_series_check_loads_mpmath_and_no_scipy(tmp_path):
-    loaded = _cli_run("series-check", tmp_path)
-    assert "mpmath" in loaded
-    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
 
 def test_scipy_optimize_and_integrate_load_on_first_use():
@@ -95,3 +102,20 @@ def test_scipy_optimize_and_integrate_load_on_first_use():
     before, after = map(json.loads, out)
     assert not {"scipy.optimize", "scipy.integrate"} & set(before)
     assert "scipy.integrate" in after
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    """Top-level modules imported anywhere in src/fluxion, bar the standard library, as declared."""
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(fluxion.__file__).resolve().parent
+    imported = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"fluxion"}
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"]}
+    assert third_party == declared

@@ -308,6 +308,22 @@ def test_three_integrations_per_tomography(integrations):
     assert integrations == [(0.0, 0.3)] * 3 + [(0.3, 0.6)] * 3 + [(0.6, 1.0)] * 3
 
 
+def test_evolved_state_hermiticity_checked_before_symmetrizing(monkeypatch):
+    """An integrator drift of 1e-6 in rho - rho^dag is rejected, not averaged away."""
+    original = lindblad.solve_ivp
+
+    def drifting(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        drift = np.zeros((2, 2), dtype=complex)
+        drift[0, 1], drift[1, 0] = 1e-6, -1e-6
+        sol.y[:, -1] += drift.ravel()
+        return sol
+
+    monkeypatch.setattr(lindblad, "solve_ivp", drifting)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve_density(plus_density(), LindbladSpec(0.1, 0.05), 0.5)
+
+
 @pytest.mark.parametrize("bad", [0, 4])
 def test_out_of_range_qubit_rejected(integrations, bad):
     """Input or target qubit 0 or n + 1 raises, in the open engine before any integration."""

@@ -208,16 +208,14 @@ def run(config: RunConfig, out_dir: str = ".") -> list[str]:
             for row in output.rows:
                 lines.append(",".join(_format_cell(v) for v in row))
             _atomic_write(path, "\n".join(lines) + "\n")
-            meta = _metadata(config, output.extra, wall)
         elif isinstance(output, SummaryOutput):
             path = os.path.join(out_dir, f"{output.name}.txt")
             _atomic_write(
                 path, "".join(f"{k} = {_format_cell(v)}\n" for k, v in output.items.items())
             )
-            meta = _metadata(config, {}, wall)
         else:
             raise TypeError(f"unexpected output {output!r}")
-        _write_metadata(path + ".meta", meta)
+        _write_metadata(path + ".meta", _metadata(config, output.extra, wall))
         written.extend([path, path + ".meta"])
     return written
 

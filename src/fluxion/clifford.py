@@ -184,11 +184,6 @@ def flux_matrix(
 # --- preparation-state optimization ---------------------------------------
 
 FEASIBILITY_TOL = 1e-9
-# Seeded starts of the optimizer.  Only seeds 8 and 10 reach the symmetric
-# optimum (flux 2/3); the best of seeds 0-7 is the feasible register
-# (|00> - |11>)/sqrt(2) of flux 0, so fewer starts return a wrong answer and
-# more return the same one.
-PREPARATION_STARTS = 12
 
 
 @dataclass(frozen=True)
@@ -197,6 +192,7 @@ class PreparationResult:
     amplitudes: np.ndarray
     flux: float
     constraint_residual: float
+    spectral_gap: float
 
 
 def _diagonal_flux_matrices() -> np.ndarray:
@@ -222,9 +218,9 @@ def _diagonal_flux_matrices() -> np.ndarray:
 class _PreparationProblem:
     """Residual and score of one constraint set as quadratic forms in real v.
 
-    Row k of the residual is v.R_k v - offsets[k], so its Jacobian row is
-    2 R_k v; the score is v.S v with gradient 2 S v.  Row 0 is the norm
-    v.v - 1.
+    Row k of the residual is v.R_k v - offsets[k], row 0 the norm v.v - 1;
+    the score is v.S v.  Every unit v scores at most the top eigenvalue of
+    S, so a top eigenvector with zero residual is the constrained optimum.
     """
 
     residual_forms: np.ndarray
@@ -247,18 +243,8 @@ class _PreparationProblem:
     def residual(self, v: np.ndarray) -> np.ndarray:
         return self.residual_forms @ v @ v - self.offsets
 
-    def jacobian(self, v: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.residual_forms @ v)
-
     def score(self, v: np.ndarray) -> float:
         return float(v @ self.score_form @ v)
-
-    def penalized(self, v: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-        """-score + mu |residual|^2 and its gradient."""
-        rv = self.residual_forms @ v
-        r = rv @ v - self.offsets
-        sv = self.score_form @ v
-        return float(mu * (r @ r) - v @ sv), 4.0 * mu * (r @ rv) - 2.0 * sv
 
 
 def optimize_preparation(constraint_set: str) -> PreparationResult:
@@ -266,50 +252,24 @@ def optimize_preparation(constraint_set: str) -> PreparationResult:
 
     constraint_set "symmetric-universal": equal fluxes on both output qubits,
     independent of the Pauli letter, maximized.  "fully-biased": unit flux to
-    qubit 2.  The feasible sets are lower-dimensional with rank-deficient
-    constraint Jacobians, so a staged quadratic penalty steers seeded starts
-    into the right basin and a least-squares polish lands on the constraint
-    manifold; the best feasible candidate wins.  Both stages use the exact
-    gradients of the quadratic forms.
+    qubit 2.  The register is the top eigenvector of the score form S, signed
+    so its leading amplitude is positive.  Since v.Sv <= lambda_max(S) for
+    every unit v, it is the global optimum once it is feasible and the top
+    eigenvalue is simple; otherwise RuntimeError.  The six diagonal forms are
+    the two-qubit Paulis IX, ZX, ZI, XI, XZ and IZ, so both shipped sets
+    pass with gaps 2/3 and 4/3.
     """
     problem = _PreparationProblem.build(constraint_set)
-    # loaded here, not at import: no other entry point optimizes
-    from scipy.optimize import least_squares, minimize
-
-    best = None
-    best_infeasible = None
-    for seed in range(PREPARATION_STARTS):
-        v = np.random.default_rng(seed).normal(size=4)
-        v /= np.linalg.norm(v)
-        for mu in (10.0, 100.0, 1000.0):
-            res = minimize(
-                problem.penalized,
-                v,
-                args=(mu,),
-                jac=True,
-                method="BFGS",
-                options={"maxiter": 400, "gtol": 1e-12},
-            )
-            v = res.x
-        polish = least_squares(
-            problem.residual, v, jac=problem.jacobian, xtol=1e-15, ftol=1e-15, gtol=1e-15
-        )
-        v = polish.x
-        feas = float(np.abs(problem.residual(v)).max())
-        if feas < FEASIBILITY_TOL:
-            sc = problem.score(v)
-            if best is None or sc > best[0]:
-                best = (sc, v, feas)
-        elif best_infeasible is None or feas < best_infeasible[2]:
-            best_infeasible = (problem.score(v), v, feas)
-    if best is None:
-        sc, v, feas = best_infeasible
+    eigenvalues, eigenvectors = np.linalg.eigh(problem.score_form)
+    gap = float(eigenvalues[-1] - eigenvalues[-2])
+    v = eigenvectors[:, -1]
+    feas = float(np.abs(problem.residual(v)).max())
+    if gap <= FEASIBILITY_TOL or not feas < FEASIBILITY_TOL:
         raise RuntimeError(
-            f"preparation optimizer did not converge; best residual {feas:.2e} "
-            f"at amplitudes {np.round(v, 6).tolist()} with flux {sc:.6f}"
+            f"no certified preparation: spectral gap {gap:.2e} and constraint residual "
+            f"{feas:.2e} at the top eigenvector; the gap must exceed {FEASIBILITY_TOL:.0e} "
+            f"and the residual stay below it"
         )
-    sc, v, feas = best
-    v = v / np.linalg.norm(v)
     lead = v[np.nonzero(np.abs(v) > 1e-8)[0][0]]
-    v = v * np.sign(lead)
-    return PreparationResult(RegisterState(2, v.astype(complex)), v, sc, feas)
+    v = v * np.sign(lead) + 0.0  # + 0.0 turns a flipped -0.0 into 0.0
+    return PreparationResult(RegisterState(2, v.astype(complex)), v, problem.score(v), feas, gap)

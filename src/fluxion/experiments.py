@@ -35,6 +35,7 @@ class TableOutput:
 class SummaryOutput:
     name: str
     items: dict[str, object]
+    extra: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,8 @@ def run_uqcm_prep_opt(params, seed):
         "flux": result.flux,
         "constraint_residual": result.constraint_residual,
     }
-    return [SummaryOutput("uqcm-prep-opt", items)]
+    extra = {"health.spectral_gap": f"{result.spectral_gap:.15g}"}
+    return [SummaryOutput("uqcm-prep-opt", items, extra)]
 
 
 def run_uqcm_chain(params, seed):

@@ -1,13 +1,18 @@
-"""Dense reference implementations that only tests call.
+"""Reference implementations that only tests call.
 
-Each one builds the full matrix the library avoids forming, so it is for
-small registers only.  Tests import it as `from oracles import ...`.
+The dense ones build the full matrix the library avoids forming, so they
+are for small registers only; the seeded penalty search checks the
+eigenvector preparation optimizer from outside.  Tests import them as
+`from oracles import ...`.
 """
+
+from functools import partial
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import least_squares, minimize
 
-from fluxion.clifford import CliffordCircuit, Gate
+from fluxion.clifford import CliffordCircuit, Gate, _PreparationProblem
 from fluxion.lindblad import DensityMatrix, LindbladSpec
 from fluxion.pauli import _signed_permutation
 
@@ -93,6 +98,42 @@ def superoperator(spec: LindbladSpec, n_qubits: int) -> np.ndarray:
         L_total += np.kron(L, L.conj())
     L_total -= 0.5 * (np.kron(anticomm, eye) + np.kron(eye, anticomm.T))
     return L_total
+
+
+def residual_jacobian(problem: _PreparationProblem, v: np.ndarray) -> np.ndarray:
+    """Rows 2 R_k v: the Jacobian of the residual v.R_k v - offsets[k]."""
+    return 2.0 * (problem.residual_forms @ v)
+
+
+def penalized(problem: _PreparationProblem, v: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+    """-score + mu |residual|^2 and its gradient."""
+    rv = problem.residual_forms @ v
+    r = rv @ v - problem.offsets
+    sv = problem.score_form @ v
+    return float(mu * (r @ r) - v @ sv), 4.0 * mu * (r @ rv) - 2.0 * sv
+
+
+def penalty_search(problem: _PreparationProblem) -> list[tuple[float, np.ndarray, float]]:
+    """(score, v, max |residual|) of each of 12 seeded starts of a local penalty search.
+
+    Staged quadratic penalties (BFGS at mu = 10, 100, 1000) steer a normal
+    random start towards a feasible basin, and a least-squares polish lands
+    on the constraint manifold; both use the exact gradients above.  It knows
+    nothing of the score form's spectrum, so it checks the eigenvector
+    preparation from outside.  Only seeds 8 and 10 reach the symmetric
+    optimum.
+    """
+    out = []
+    for seed in range(12):
+        v = np.random.default_rng(seed).normal(size=4)
+        v /= np.linalg.norm(v)
+        for mu in (10.0, 100.0, 1000.0):
+            opts = {"maxiter": 400, "gtol": 1e-12}
+            v = minimize(partial(penalized, problem), v, args=(mu,), jac=True, method="BFGS", options=opts).x
+        jac = partial(residual_jacobian, problem)
+        v = least_squares(problem.residual, v, jac=jac, xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+        out.append((problem.score(v), v, float(np.abs(problem.residual(v)).max())))
+    return out
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -162,6 +162,21 @@ def test_metadata_sidecar_contents(tmp_path):
     assert "created_utc" in meta and "wall_time_s" in meta
 
 
+def test_preparation_sidecar_carries_spectral_gap(tmp_path):
+    """The optimality certificate lands in the sidecar; the data file keeps
+    its keys and prints the zero amplitude unsigned."""
+    txt, meta_path = run(RunConfig("uqcm-prep-opt", {"constraint": "symmetric-universal"}), out_dir=str(tmp_path))
+    with open(meta_path) as fh:
+        meta = dict(line.rstrip("\n").split(" = ", 1) for line in fh)
+    assert float(meta["health.spectral_gap"]) == pytest.approx(2 / 3, abs=1e-14)
+    with open(txt) as fh:
+        items = dict(line.rstrip("\n").split(" = ", 1) for line in fh)
+    assert list(items) == [
+        "constraint", "amplitude_00", "amplitude_01", "amplitude_10", "amplitude_11", "flux", "constraint_residual"
+    ]
+    assert items["amplitude_11"] == "0"
+
+
 def test_main_exit_codes(tmp_path, capsys):
     good = write_config(
         tmp_path, "[run]\nexperiment = transfer-single\n\n[params]\nJt = 1.5\n"
@@ -182,7 +197,7 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
     # parameters that could not change the answer are gone: the chain results
-    # depend on Jt and the profile's shape, and fewer optimizer starts miss the optimum
+    # depend on Jt and the profile's shape, and the preparation optimizer has no starts to count
     removed_parameters = (
         ("uqcm-chain", "J"), ("universality-scan", "J"), ("perfect-transfer", "lam"), ("uqcm-prep-opt", "restarts")
     )

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxion.clifford import (
+    FEASIBILITY_TOL,
     CliffordCircuit,
     Gate,
     _diagonal_flux_matrices,
@@ -35,7 +37,7 @@ from fluxion.states import (
     product_state,
     uqcm_preparation_state,
 )
-from oracles import circuit_unitary
+from oracles import circuit_unitary, penalized, penalty_search, residual_jacobian
 
 # the copying stage's evolved single-qubit operators after each CNOT
 EXPECTED_TABLE = {
@@ -254,7 +256,7 @@ def grid_search_symmetric():
 def test_optimizer_recovers_cloner_preparation():
     result = optimize_preparation("symmetric-universal")
     target = np.array([np.sqrt(2 / 3), 1 / np.sqrt(6), 1 / np.sqrt(6), 0.0])
-    assert np.abs(result.amplitudes - target).max() <= 1e-6
+    assert np.abs(result.amplitudes - target).max() <= 1e-12
     assert result.flux == pytest.approx(2 / 3, abs=1e-9)
     assert result.constraint_residual < 1e-9
 
@@ -262,7 +264,7 @@ def test_optimizer_recovers_cloner_preparation():
 def test_optimizer_recovers_biased_preparation():
     result = optimize_preparation("fully-biased")
     target = np.array([1, 1, 0, 0]) / np.sqrt(2)
-    assert np.abs(result.amplitudes - target).max() <= 1e-6
+    assert np.abs(result.amplitudes - target).max() <= 1e-12
     assert result.flux == pytest.approx(1.0, abs=1e-9)
 
 
@@ -293,12 +295,15 @@ CONSTRAINT_SETS = ("symmetric-universal", "fully-biased")
 
 
 def test_stacked_flux_forms_match_pauli_apply():
-    """v.Qv of every stacked form, and the residuals and scores built from
-    them, equal the engine's diagonal fluxes of the copying stage, scaled by
-    |v|^2 for an unnormalized real register v."""
+    """The stacked forms are the two-qubit Paulis IX, ZX, ZI, XI, XZ and IZ,
+    and v.Qv of every one, and the residuals and scores built from them,
+    equal the engine's diagonal fluxes of the copying stage, scaled by |v|^2
+    for an unnormalized real register v."""
     stacked = _diagonal_flux_matrices()
     assert stacked.shape == (6, 4, 4) and stacked.dtype == float
     assert np.array_equal(stacked, stacked.transpose(0, 2, 1))
+    paulis = [PauliString.from_label(2, label).to_matrix() for label in ("X2", "Z1X2", "Z1", "X1", "X1Z2", "Z2")]
+    assert np.array_equal(stacked, paulis)
     problems = {name: _PreparationProblem.build(name) for name in CONSTRAINT_SETS}
     stage = copying_stage()
     rng = np.random.default_rng(17)
@@ -331,16 +336,44 @@ def test_preparation_gradients_match_central_differences(constraint_set):
     step = 1e-6
     for mu in (10.0, 1000.0):
         v = rng.normal(size=4)
-        value, grad = problem.penalized(v, mu)
+        value, grad = penalized(problem, v, mu)
         assert value == pytest.approx(mu * np.sum(problem.residual(v) ** 2) - problem.score(v), rel=1e-14)
-        jac = problem.jacobian(v)
+        jac = residual_jacobian(problem, v)
         fd_grad = np.empty(4)
         fd_jac = np.empty_like(jac)
         for i, e in enumerate(np.eye(4) * step):
-            fd_grad[i] = (problem.penalized(v + e, mu)[0] - problem.penalized(v - e, mu)[0]) / (2 * step)
+            fd_grad[i] = (penalized(problem, v + e, mu)[0] - penalized(problem, v - e, mu)[0]) / (2 * step)
             fd_jac[:, i] = (problem.residual(v + e) - problem.residual(v - e)) / (2 * step)
         assert np.linalg.norm(grad - fd_grad) <= 1e-6 * np.linalg.norm(grad)
         assert np.linalg.norm(jac - fd_jac) <= 1e-6 * np.linalg.norm(jac)
+
+
+@pytest.mark.parametrize("constraint_set", CONSTRAINT_SETS)
+def test_penalty_search_finds_nothing_above_the_eigenvector(constraint_set):
+    """The certificate v.Sv <= lambda_max(S), checked from outside: no
+    feasible candidate of the seeded penalty search scores higher."""
+    result = optimize_preparation(constraint_set)
+    candidates = penalty_search(_PreparationProblem.build(constraint_set))
+    feasible = [score for score, _, feas in candidates if feas < FEASIBILITY_TOL]
+    assert feasible
+    assert max(feasible) <= result.flux + 1e-12
+    assert result.spectral_gap > FEASIBILITY_TOL
+
+
+@pytest.mark.parametrize(
+    "score_form, rows, offsets, message",
+    [
+        (np.diag([0.0, 0.0, 1.0, 1.0]), [], [], "spectral gap 0.00e+00"),
+        (np.diag([0.0, 0.0, 0.0, 1.0]), [np.diag([1.0, 0.0, 0.0, 0.0])], [1.0], "constraint residual 1.00e+00"),
+    ],
+    ids=["degenerate", "infeasible"],
+)
+def test_uncertified_preparation_raises(monkeypatch, score_form, rows, offsets, message):
+    """A degenerate top eigenvalue, or an infeasible top eigenvector, is no certificate."""
+    problem = _PreparationProblem(np.stack([np.eye(4), *rows]), np.array([1.0, *offsets]), score_form)
+    monkeypatch.setattr(_PreparationProblem, "build", classmethod(lambda cls, name: problem))
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        optimize_preparation("symmetric-universal")
 
 
 def test_unknown_constraint_set():

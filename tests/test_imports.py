@@ -1,14 +1,13 @@
 """`import fluxion` loads numpy only; each run loads only what its engine calls.
 
-scipy.sparse (Lindblad generator), scipy.optimize (preparation optimizer)
-and scipy.integrate (open evolution) are each imported on the first call of
-the one layer that needs them, the chain engine solves its modes with numpy
-alone and the series cross-check runs on the standard library's decimal,
-so the CLI runs that use none of them are spared their import.  Checked in
-fresh interpreters, because the test session itself has long since
-imported all of them; mpmath, a test-only dependency, must stay unloaded
-too.  The third-party modules the package imports anywhere must be exactly
-its declared runtime dependencies.
+scipy.sparse (Lindblad generator) and scipy.integrate (open evolution) are
+each imported on the first call of the one layer that needs them; the
+preparation optimizer, the chain engine and the series cross-check (on the
+standard library's decimal) need numpy alone, so every CLI run but open-flux
+is spared their import.  Checked in fresh interpreters, because the test
+session itself has long since imported all of them; mpmath, a test-only
+dependency, must stay unloaded too.  The third-party modules the package
+imports anywhere must be exactly its declared runtime dependencies.
 """
 
 import ast
@@ -79,6 +78,7 @@ def test_import_loads_numpy_only():
     [
         "table1",
         "uqcm-circuit",
+        "uqcm-prep-opt",
         "uqcm-chain",
         "universality-scan",
         "transfer-single",
@@ -90,7 +90,7 @@ def test_small_runs_load_no_scipy_or_mpmath(experiment, tmp_path):
     assert _cli_run(experiment, tmp_path) == []
 
 
-def test_scipy_optimize_and_integrate_load_on_first_use():
+def test_scipy_integrate_loads_on_first_use():
     out = _probe(
         """
         print(loaded())
@@ -100,7 +100,7 @@ def test_scipy_optimize_and_integrate_load_on_first_use():
         """
     )
     before, after = map(json.loads, out)
-    assert not {"scipy.optimize", "scipy.integrate"} & set(before)
+    assert before == []
     assert "scipy.integrate" in after
 
 

@@ -7,11 +7,20 @@ end's parity to the others, through a bidiagonal block C.  The thin SVD of
 C gives the spectrum of M as exact +-sigma pairs and each propagator
 element from the far end as a real cosine sum or an imaginary sine sum over
 sigma, by the parity of the site distance: the end-to-end amplitude f(t) is
-real for odd N and imaginary for even N.  The power series evaluator
-reproduces the same coefficients as a cross-check, with explicit truncation
-accounting: it streams one vector of Taylor terms T^m e_1 t^m / m! in
-decimal arithmetic, each from the last by one product with the coupling
-matrix, and never forms the powers of T.
+real for odd N and imaginary for even N.  Both sums are the real and
+imaginary parts of one complex phase sum.  On a grid of K >= 64 times,
+write t_k = a_b + c_m + r_k with block starts a_b = t_0 + b B dt, offsets
+c_m = m dt and B = ceil(sqrt K).  The grid counts as uniform when the
+residual phases stay small, |sigma|max |r|max <= 1e-9: then every
+e^{i sigma t_k} is one entry of each of two phase tables times
+1 + i sigma r_k, to within (sigma r)^2 / 2, and the tables take O(sqrt K)
+exponentials per mode instead of K.  Other grids take B = 1, one
+exponential per time.
+
+The power series evaluator reproduces the same coefficients as a
+cross-check, with explicit truncation accounting: it streams one vector of
+Taylor terms T^m e_1 t^m / m! in decimal arithmetic, each from the last by
+one product with the coupling matrix, and never forms the powers of T.
 """
 
 from __future__ import annotations
@@ -120,6 +129,53 @@ def eigh_tridiagonal(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return X, sigma, Yt.T
 
 
+UNIFORM_GRID_MIN_POINTS = 64  # shorter grids evaluate each phase directly
+RESIDUAL_PHASE_TOL = 1e-9  # largest |sigma| |r| of a factored grid; (sigma r)^2/2 is dropped
+
+
+def _phase_tables(t: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block starts a, offsets c and residuals r with t_k = a[k // B] + c[k % B] + r[k].
+
+    On a uniform grid, a_b = t_0 + b B dt and c_m = m dt with B = ceil(sqrt K),
+    and r = (t - a) - c is of rounding size (and exact for t >= 0, by Sterbenz).
+    Grids under UNIFORM_GRID_MIN_POINTS points, or whose residual phases
+    |sigma| |r| exceed RESIDUAL_PHASE_TOL, take B = 1: the anchors are t
+    itself, the one offset is 0 and r = 0.
+    """
+    k = t.size
+    if k >= UNIFORM_GRID_MIN_POINTS:
+        b = int(np.ceil(np.sqrt(k)))
+        index = np.arange(k)
+        # a span past the float range gives non-finite residuals, which fail the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (t[-1] - t[0]) / (k - 1)
+            anchors = t[0] + step * b * np.arange(-(-k // b))
+            offsets = step * np.arange(b)
+            residual = (t - anchors[index // b]) - offsets[index % b]
+            phase = np.abs(sigma).max(initial=0.0) * np.abs(residual).max()
+        if phase <= RESIDUAL_PHASE_TOL:
+            return anchors, offsets, residual
+    return t, np.zeros(1), np.zeros(k)
+
+
+def _phase_sums(t: np.ndarray, sigma: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """S[k, s] = sum_j weights[s, j] exp(i sigma_j t_k), from `_phase_tables`.
+
+    S = (A w) C^T + i r (A w sigma) C^T with A = exp(i sigma a), C = exp(i sigma c):
+    each phase is the product of two table entries, so no error accumulates
+    along the grid, and the dropped term is (sigma r)^2 / 2 per mode.
+    """
+    anchors, offsets, residual = _phase_tables(t, sigma)
+    A = np.exp(1j * np.multiply.outer(anchors, sigma))
+    C = np.exp(1j * np.multiply.outer(offsets, sigma))
+    both = np.concatenate([weights, weights * sigma])  # (2S, modes)
+    sums = (A[:, None, :] * both).reshape(-1, sigma.size) @ C.T  # (blocks * 2S, B)
+    sums = sums.reshape(anchors.size, both.shape[0], offsets.size).transpose(0, 2, 1)
+    sums = sums.reshape(-1, both.shape[0])[: t.size]
+    s = weights.shape[0]
+    return sums[:, :s] + 1j * residual[:, None] * sums[:, s:]
+
+
 def _end_column(profile: CouplingProfile, t: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Real mode sums R[a, b] for U_{i,N}(t) = <i|exp(-iMt)|N>, i = sites[b], t = t[a].
 
@@ -130,10 +186,14 @@ def _end_column(profile: CouplingProfile, t: np.ndarray, sites: np.ndarray) -> n
                      [-1j Y sin(sigma t) X^T,           ...                    ]]
 
     so R is a cosine sum with weights X[i] X[N] on P and a sine sum with
-    weights Y[i] X[N] on Q.  The +-sigma pairing is exact by construction.
-    The constant delta_{iN} - sum X[i] X[N] on P is the zero eigenspace of M,
-    degenerate once a coupling vanishes, fixed by U(0) = 1 without its
-    eigenvectors.
+    weights Y[i] X[N] on Q: the real and imaginary parts of one `_phase_sums`.
+    On a uniform grid of at least 64 points whose residuals keep
+    |sigma| |r| <= 1e-9, the sums come from block phase tables of about
+    sqrt(K) rows each, to within (sigma r)^2 / 2; other grids take B = 1,
+    one exponential per time and mode.  The +-sigma pairing is exact by
+    construction.  The constant delta_{iN} - sum X[i] X[N] on P is the zero
+    eigenspace of M, degenerate once a coupling vanishes, fixed by U(0) = 1
+    without its eigenvectors.
     """
     if not np.isfinite(t).all():
         raise ValueError(f"t must be finite, got t={t[~np.isfinite(t)][0]}")
@@ -152,16 +212,9 @@ def _end_column(profile: CouplingProfile, t: np.ndarray, sites: np.ndarray) -> n
     sigma = np.einsum("i,ij,ij->j", c, v[:-1], v[1:]) / np.sqrt(
         np.einsum("ij,ij->j", x, x) * np.einsum("ij,ij->j", y, y)
     )
-    phases = np.outer(t, sigma.astype(float))
+    sums = _phase_sums(t, sigma.astype(float), weights)
     even = (sites + n - 1) % 2 == 0
-    out = np.empty((t.size, sites.size))
-    if not even.all():
-        out[:, ~even] = np.sin(phases) @ weights[~even].T
-    if even.any():
-        pair = weights[even]
-        cos = np.cos(phases, out=phases)
-        out[:, even] = cos @ pair.T + ((sites[even] == n - 1) - pair.sum(axis=1))
-    return out
+    return np.where(even, sums.real + ((sites == n - 1) - weights.sum(axis=1)), sums.imag)
 
 
 def transfer_amplitude(profile: CouplingProfile, t: float) -> complex:
@@ -169,9 +222,17 @@ def transfer_amplitude(profile: CouplingProfile, t: float) -> complex:
     return complex(amplitude_curve(profile, [t])[0])
 
 
+def _grid_1d(grid, name: str) -> np.ndarray:
+    """A scalar or 1-D grid as a float vector; anything of higher rank is an error."""
+    arr = np.asarray(grid, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError(f"{name} must be a scalar or 1-D, got shape {arr.shape}")
+    return arr.reshape(-1)
+
+
 def amplitude_curve(profile: CouplingProfile, t_grid: np.ndarray) -> np.ndarray:
     """f(t) on a whole time grid from one diagonalization."""
-    r = _end_column(profile, np.asarray(t_grid, dtype=float), np.array([0]))[:, 0]
+    r = _end_column(profile, _grid_1d(t_grid, "t_grid"), np.array([0]))[:, 0]
     f = r + 0j if profile.n_qubits % 2 else -1j * r
     if not (np.abs(f) <= 1 + AMPLITUDE_TOL).all():
         raise AssertionError(f"|f| = {np.abs(f).max()} exceeds 1")
@@ -308,6 +369,7 @@ class SweepResult:
     eta_max: float
     t_max: float
     flux_max: float
+    argmax_ties: int  # surface points within TIE_TOL of the maximum
 
 
 def eta_sweep(
@@ -320,8 +382,8 @@ def eta_sweep(
     Grid points whose value is within TIE_TOL of the surface maximum count
     as ties; the smallest time wins, then the smallest eta.
     """
-    eta_grid = np.asarray(eta_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
+    eta_grid = _grid_1d(eta_grid, "eta_grid")
+    t_grid = _grid_1d(t_grid, "t_grid")
     if eta_grid.size == 0 or t_grid.size == 0:
         raise ValueError("grids must be non-empty")
     surface = np.empty((eta_grid.size, t_grid.size))
@@ -333,7 +395,13 @@ def eta_sweep(
     order = np.lexsort((eta_grid[tie_eta], t_grid[tie_t]))
     ei, ti = int(tie_eta[order[0]]), int(tie_t[order[0]])
     return SweepResult(
-        eta_grid, t_grid, surface, float(eta_grid[ei]), float(t_grid[ti]), float(surface[ei, ti])
+        eta_grid,
+        t_grid,
+        surface,
+        float(eta_grid[ei]),
+        float(t_grid[ti]),
+        float(surface[ei, ti]),
+        int(tie_t.size),
     )
 
 
@@ -360,7 +428,7 @@ def disorder_ensemble(
     Trial k draws from an independent stream keyed by (seed, k), so any one
     trial can be recomputed on its own.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _grid_1d(t_grid, "t_grid")
     if t_grid.size == 0:
         raise ValueError("grids must be non-empty")
     base = CouplingProfile.uniform_eta(n_qubits, 1.0, eta)

@@ -190,6 +190,8 @@ def run_transfer_sweep(params, seed):
         "Jt_max": f"{sweep.t_max:.15g}",
         "flux_max": f"{sweep.flux_max:.15g}",
         "worst_case_fidelity": f"{sweep.flux_max ** 2:.15g}",
+        "health.argmax_ties": f"{sweep.argmax_ties:d}",
+        "health.max_abs_f": f"{sweep.surface.max():.15g}",
     }
     return [TableOutput("transfer-sweep", ("eta", "Jt", "abs_f", "is_argmax"), rows, extra)]
 
@@ -210,6 +212,7 @@ def run_transfer_disorder(params, seed):
         "mean_max_flux": f"{result.max_fluxes.mean():.15g}",
         "median_argmax_Jt": f"{np.median(result.argmax_times):.15g}",
         "negative_coupling_trials": str(len(negative)),
+        "health.max_abs_f": f"{result.max_fluxes.max():.15g}",
     }
     return [
         TableOutput("transfer-disorder", ("Jt", "mean_flux", "std_flux"), surface_rows, extra),

@@ -1,3 +1,5 @@
+import contextlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -83,6 +85,7 @@ def test_transfer_amplitude_is_the_curve_at_one_time(n):
     for t, on_grid in zip(ts, amplitude_curve(prof, ts)):
         point = transfer_amplitude(prof, float(t))
         (curve,) = amplitude_curve(prof, [t])
+        assert np.array_equal(amplitude_curve(prof, t), [curve])  # a scalar is a one-point grid
         parts = [point.real, point.imag]
         assert np.array_equal(parts, [curve.real, curve.imag])
         assert np.array_equal(np.signbit(parts), np.signbit([curve.real, curve.imag]))
@@ -155,6 +158,78 @@ def test_mode_sums_match_full_eigh(prof, times):
         assert np.abs(propagator_coefficients(prof, t) - expected).max() <= 1e-10
 
 
+@contextlib.contextmanager
+def recorded_block_sizes():
+    """Yields the block size B of every `_phase_tables` call; B = 1 is the direct form."""
+    sizes = []
+    tables = chain._phase_tables
+
+    def recording(t, sigma):
+        anchors, offsets, residual = tables(t, sigma)
+        sizes.append(offsets.size)
+        return anchors, offsets, residual
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain, "_phase_tables", recording)
+        yield sizes
+
+
+@st.composite
+def uniform_grids(draw):
+    """Uniform grids long enough for the block phase tables, some rounded to 10
+    decimals as the CLI builds its grids."""
+    k = draw(st.integers(64, 3000))
+    t0 = draw(st.floats(0.0, 50.0))
+    step = draw(st.one_of(st.sampled_from([0.01, 0.05, 0.1]), st.floats(1e-3, 1.0)))
+    grid = t0 + step * np.arange(k)
+    return np.round(grid, 10) if draw(st.booleans()) else grid
+
+
+def _dense_end_amplitude(prof: CouplingProfile, times: np.ndarray) -> np.ndarray:
+    w, V = np.linalg.eigh(np.diag(prof.couplings, 1) + np.diag(prof.couplings, -1))
+    return np.exp(-1j * np.outer(times, w)) @ (V[0] * V[-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains(), uniform_grids())
+def test_block_phase_tables_match_full_eigh(prof, times):
+    """Uniform grids take the factored form, and it equals a dense eigh of M."""
+    with recorded_block_sizes() as sizes:
+        curve = amplitude_curve(prof, times)
+    assert sizes == [int(np.ceil(np.sqrt(times.size)))]
+    assert np.abs(curve - _dense_end_amplitude(prof, times)).max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "jitter, block",
+    [(lambda rng: np.eye(200)[117] * 1e-6, 1), (lambda rng: rng.uniform(-2e-10, 2e-10, 200), 15)],
+    ids=["one-point-1e-6-direct", "every-point-2e-10-first-order"],
+)
+def test_grid_residuals_choose_the_form(jitter, block):
+    """One point of a 200-point grid moved by 1e-6 leaves residual phases far
+    above the 1e-9 test, so every phase is evaluated directly.  Residuals of
+    2e-10 at every point stay under it: the tables carry them to first order,
+    and dropping that term would cost 2.7e-11 here."""
+    rng = np.random.default_rng(8)
+    prof = CouplingProfile(8, rng.uniform(-1.5, 1.5, size=7))
+    times = np.round(np.arange(200) * 0.05, 10) + jitter(rng)
+    with recorded_block_sizes() as sizes:
+        curve = amplitude_curve(prof, times)
+    assert sizes == [block]
+    assert np.abs(curve - _dense_end_amplitude(prof, times)).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "n, times", [(101, DEFAULT_TIME_GRID), (201, first_arrival_window(201))], ids=["101-default", "201-window"]
+)
+def test_shipped_grids_take_the_block_tables(n, times):
+    """The experiments' grids are uniform up to their 10-decimal rounding."""
+    with recorded_block_sizes() as sizes:
+        for eta in (0.1, 0.5, 1.0):
+            amplitude_curve(CouplingProfile.uniform_eta(n, 1.0, eta), times)
+    assert sizes == [int(np.ceil(np.sqrt(times.size)))] * 3
+
+
 def _disordered_with_one_negative_coupling() -> CouplingProfile:
     base = CouplingProfile.uniform_eta(101, 1.0, 0.5)
     couplings = CouplingProfile.disordered(base, 0.05, np.random.default_rng(3)).couplings.copy()
@@ -187,20 +262,39 @@ def test_mode_sums_match_full_eigh_long_chains(prof, times):
 def test_long_time_phases_match_extended_precision_modes():
     """At Jt = 1e3 and 1e4 the phases sigma*t need sigma to rounding, which the
     long-double Rayleigh quotients give and LAPACK's singular values alone do not
-    (2.6e-13 and 1.1e-12 off here, against 2.2e-14 and 6.0e-14)."""
+    (2.6e-13 and 1.1e-12 off at the two single times, against 2.2e-14 and 6.0e-14).
+
+    The 100-point grids of step 0.05 take the block phase tables.  At Jt = 1e4
+    float64 rounds each phase sigma_j t, up to 2e4 here, by a half-ulp of up to
+    1.8e-12; weighted by |x_j(1) x_j(N)|, which sum to 0.98, that rounding alone
+    moves f by up to 7.3e-13, so the grid's bound is 1e-12 rather than 3e-13.
+    Measured: 4.1e-14 at 1e3 and 3.3e-13 at 1e4 with one exponential per time
+    and mode, 2.6e-14 and 3.1e-13 with the tables.
+    """
     couplings = 1 + 0.05 * np.random.default_rng(0).normal(size=20)
-    times = (1e3, 1e4)
+    cases = [
+        (np.array([1e3, 1e4]), 3e-13),
+        (1e3 + 0.05 * np.arange(100), 3e-13),
+        (1e4 + 0.05 * np.arange(100), 1e-12),
+    ]
     with mpmath.workdps(40):
         M = mpmath.zeros(21, 21)
         for k, c in enumerate(couplings):
             M[k, k + 1] = M[k + 1, k] = mpmath.mpf(float(c))
         E, Q = mpmath.eigsy(M)
-        reference = [
-            complex(mpmath.fsum(Q[0, k] * Q[20, k] * mpmath.exp(-1j * E[k] * t) for k in range(21)))
-            for t in times
+        weights = [Q[0, k] * Q[20, k] for k in range(21)]
+        references = [
+            [
+                complex(mpmath.fsum(w * mpmath.exp(-1j * e * mpmath.mpf(float(t))) for w, e in zip(weights, E)))
+                for t in times
+            ]
+            for times, _ in cases
         ]
-    curve = amplitude_curve(CouplingProfile(21, couplings), times)
-    assert np.abs(curve - reference).max() <= 3e-13
+    for (times, tol), reference in zip(cases, references):
+        with recorded_block_sizes() as sizes:
+            curve = amplitude_curve(CouplingProfile(21, couplings), times)
+        assert sizes == [1 if times.size < 64 else 10]
+        assert np.abs(curve - reference).max() <= tol
 
 
 def test_mirror_symmetry():
@@ -402,6 +496,10 @@ def test_disorder_spec_validation():
         (lambda: propagator_coefficients(CouplingProfile.uniform_eta(4, 1.0, 1.0), np.nan), "t=nan"),
         (lambda: transfer_amplitude(CouplingProfile.uniform_eta(5, 1.0, 1.0), -np.inf), "t=-inf"),
         (lambda: amplitude_curve(CouplingProfile.uniform_eta(3, 1.0, 1.0), [np.nan]), "t=nan"),
+        (lambda: amplitude_curve(CouplingProfile.uniform_eta(3, 1.0, 1.0), [[0, 1], [2, 3]]), r"\(2, 2\)"),
+        (lambda: eta_sweep(5, [0.5], [[0.0, 1.0]]), r"t_grid .* shape \(1, 2\)"),
+        (lambda: eta_sweep(5, [[0.5, 0.7]], [0.0, 1.0]), r"eta_grid .* shape \(1, 2\)"),
+        (lambda: disorder_ensemble(4, 0.7, DisorderSpec(0.05, 2, 0), np.zeros((3, 1))), r"\(3, 1\)"),
     ],
     ids=[
         "disorder-empty-grid",
@@ -413,6 +511,10 @@ def test_disorder_spec_validation():
         "propagator-nan-t",
         "transfer-inf-t",
         "curve-nan-t",
+        "curve-2d-t",
+        "sweep-2d-t",
+        "sweep-2d-eta",
+        "disorder-2d-t",
     ],
 )
 def test_entry_points_reject_what_they_cannot_evaluate(call, message):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxion.chain import transfer_amplitude, CouplingProfile
+from fluxion.chain import TIE_TOL, CouplingProfile, transfer_amplitude
 from fluxion.cli import (
     ConfigError,
     RunConfig,
@@ -175,6 +175,38 @@ def test_preparation_sidecar_carries_spectral_gap(tmp_path):
         "constraint", "amplitude_00", "amplitude_01", "amplitude_10", "amplitude_11", "flux", "constraint_residual"
     ]
     assert items["amplitude_11"] == "0"
+
+
+def _read_meta(path):
+    with open(path) as fh:
+        return dict(line.rstrip("\n").split(" = ", 1) for line in fh)
+
+
+def test_chain_sidecars_carry_health_keys(tmp_path):
+    """transfer-sweep records the argmax tie count and the largest |f|,
+    transfer-disorder the largest |f| over all trials."""
+    common = {"experiment", "seed", "version", "wall_time_s", "created_utc"}
+    sweep_params = {"n_qubits": "5", "eta_min": "0.5", "eta_max": "0.7", "t_max": "6.0"}
+    paths = run(RunConfig("transfer-sweep", sweep_params), out_dir=str(tmp_path / "sweep"))
+    meta = _read_meta(next(p for p in paths if p.endswith(".csv.meta")))
+    assert set(meta) == common | {f"param.{k}" for k in sweep_params} | {
+        "eta_max", "Jt_max", "flux_max", "worst_case_fidelity", "health.argmax_ties", "health.max_abs_f"
+    }
+    with open(next(p for p in paths if p.endswith(".csv"))) as fh:
+        abs_f = np.array([float(line.split(",")[2]) for line in list(fh)[1:]])
+    assert int(meta["health.argmax_ties"]) == int((abs_f >= abs_f.max() - TIE_TOL).sum()) >= 1
+    assert float(meta["health.max_abs_f"]) == abs_f.max() >= float(meta["flux_max"])
+
+    disorder_params = {"n_qubits": "6", "trials": "8", "t_max": "6.0", "t_step": "0.5"}
+    paths = run(RunConfig("transfer-disorder", disorder_params), out_dir=str(tmp_path / "disorder"))
+    metas = {os.path.basename(p): _read_meta(p) for p in paths if p.endswith(".meta")}
+    base = common | {f"param.{k}" for k in disorder_params}
+    assert set(metas["transfer-disorder-trials.csv.meta"]) == base
+    meta = metas["transfer-disorder.csv.meta"]
+    assert set(meta) == base | {"mean_max_flux", "median_argmax_Jt", "negative_coupling_trials", "health.max_abs_f"}
+    with open(tmp_path / "disorder" / "transfer-disorder-trials.csv") as fh:
+        max_flux = [float(line.split(",")[1]) for line in list(fh)[1:]]
+    assert float(meta["health.max_abs_f"]) == max(max_flux)
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -44,6 +44,7 @@ from .dense import (
     SpinHamiltonian,
     evolve,
     flux_tomography,
+    flux_trajectory,
     propagator,
     universality_scan,
     unitary_flux_tomography,

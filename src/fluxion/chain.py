@@ -195,8 +195,6 @@ def _end_column(profile: CouplingProfile, t: np.ndarray, sites: np.ndarray) -> n
     eigenspace of M, degenerate once a coupling vanishes, fixed by U(0) = 1
     without its eigenvectors.
     """
-    if not np.isfinite(t).all():
-        raise ValueError(f"t must be finite, got t={t[~np.isfinite(t)][0]}")
     n = profile.n_qubits
     X, _, Y = eigh_tridiagonal(profile.couplings)
     p = (n - 1) % 2
@@ -230,9 +228,17 @@ def _grid_1d(grid, name: str) -> np.ndarray:
     return arr.reshape(-1)
 
 
+def _times(t_grid) -> np.ndarray:
+    """A scalar or 1-D grid of finite times as a float vector."""
+    t = _grid_1d(t_grid, "t_grid")
+    if not np.isfinite(t).all():
+        raise ValueError(f"t must be finite, got t={t[~np.isfinite(t)][0]}")
+    return t
+
+
 def amplitude_curve(profile: CouplingProfile, t_grid: np.ndarray) -> np.ndarray:
     """f(t) on a whole time grid from one diagonalization."""
-    r = _end_column(profile, _grid_1d(t_grid, "t_grid"), np.array([0]))[:, 0]
+    r = _end_column(profile, _times(t_grid), np.array([0]))[:, 0]
     f = r + 0j if profile.n_qubits % 2 else -1j * r
     if not (np.abs(f) <= 1 + AMPLITUDE_TOL).all():
         raise AssertionError(f"|f| = {np.abs(f).max()} exceeds 1")
@@ -247,7 +253,7 @@ def propagator_coefficients(profile: CouplingProfile, t: float) -> np.ndarray:
     of the chain ends.
     """
     sites = np.arange(profile.n_qubits - 1, -1, -1)
-    return _end_column(profile, np.array([float(t)]), sites)[0]
+    return _end_column(profile, _times(float(t)), sites)[0]
 
 
 class TruncationError(RuntimeError):
@@ -383,7 +389,7 @@ def eta_sweep(
     as ties; the smallest time wins, then the smallest eta.
     """
     eta_grid = _grid_1d(eta_grid, "eta_grid")
-    t_grid = _grid_1d(t_grid, "t_grid")
+    t_grid = _times(t_grid)
     if eta_grid.size == 0 or t_grid.size == 0:
         raise ValueError("grids must be non-empty")
     surface = np.empty((eta_grid.size, t_grid.size))
@@ -428,7 +434,7 @@ def disorder_ensemble(
     Trial k draws from an independent stream keyed by (seed, k), so any one
     trial can be recomputed on its own.
     """
-    t_grid = _grid_1d(t_grid, "t_grid")
+    t_grid = _times(t_grid)
     if t_grid.size == 0:
         raise ValueError("grids must be non-empty")
     base = CouplingProfile.uniform_eta(n_qubits, 1.0, eta)

@@ -1,20 +1,19 @@
-"""Full Hilbert-space dynamics for spin-chain Hamiltonians.
+"""Full Hilbert-space dynamics for spin-chain Hamiltonians, small registers only.
 
-Small registers only.  The Hamiltonian's nonzero entries are assembled from
-its Pauli words by `pauli._terms_sparse`, as COO triplets in numpy; no
-sparse-matrix library is involved.  When no entry couples basis
-states of different excitation number (popcount), as for every chain that
-commutes with total Z, it is diagonalized block by block, one block per
-excitation-number sector; otherwise as one block.  Evolution is exact and
-runs sector by sector, skipping the sectors a state does not touch.  The flux
-is read directly from the two evolved basis kets U|reg,0> and U|reg,1> of the
-input qubit, with no propagator formed, through the one ket partial trace
-`states._reduced_blocks`.  `propagator`,
+H is assembled from its Pauli words by `pauli._terms_sparse` and, when no
+entry couples different excitation numbers (popcounts), as for every chain
+that commutes with total Z, diagonalized one popcount sector at a time;
+otherwise as one block.  `_propagate` is the one evolution path: a stack of
+kets is projected once onto each sector it touches and evolved over a whole
+time grid as one (times x sector) phase product.  `flux_trajectory`, the
+engine's one grid read-out, takes the flux at every grid time from the two
+evolved input kets U|reg,0> and U|reg,1> through the one ket partial trace
+`states._reduced_blocks`, with no propagator formed; `flux_tomography` is
+its one-time case, as in the open engine.  `propagator`,
 `unitary_flux_tomography` and four-input tomography (`flux.solve_affine`)
-are test oracles; they stay in the package while perfbench/tracing.py wraps
-them by name, and the other oracles are in tests/oracles.py.  This is both
-a production path for few-qubit chains and the oracle the large-N
-single-excitation engine is checked against.
+are test oracles kept in the package while perfbench/tracing.py wraps them
+by name.  The engine serves few-qubit chains and checks the large-N
+single-excitation engine.
 """
 
 from __future__ import annotations
@@ -23,14 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import CouplingProfile
-from .flux import FluxMatrix, cloning_fidelity, flux_readout
+from .chain import CouplingProfile, _times
+from .flux import FluxMatrix, cloning_fidelity, flux_columns, flux_readout
 from .pauli import PauliString, _dense, _terms_sparse
 from .states import (
     DENSE_QUBIT_CAP,
     BlochVector,
     RegisterState,
     _reduced_blocks,
+    bloch_components,
     input_kets,
     psi_plus_state,
 )
@@ -98,24 +98,28 @@ class SpinHamiltonian:
             for k in range(int(sector.max()) + 1):
                 idx = np.flatnonzero(sector == k)
                 sel = entry_sector == k
-                B = np.zeros((idx.size, idx.size), dtype=complex)
-                B[np.searchsorted(idx, rows[sel]), np.searchsorted(idx, cols[sel])] = vals[sel]
+                entries = vals[sel] if vals[sel].imag.any() else vals[sel].real
+                B = np.zeros((idx.size, idx.size), dtype=entries.dtype)
+                B[np.searchsorted(idx, rows[sel]), np.searchsorted(idx, cols[sel])] = entries
                 if not (np.abs(B - B.conj().T).max() <= 1e-12):
                     raise AssertionError("Hamiltonian is not Hermitian")
-                blocks.append((idx, *np.linalg.eigh(B if B.imag.any() else B.real)))
+                blocks.append((idx, *np.linalg.eigh(B)))
             cached = tuple(blocks)
             object.__setattr__(self, "_eig", cached)
         return cached
 
 
-def _propagate(h: SpinHamiltonian, t: float, amplitudes: np.ndarray) -> np.ndarray:
-    """exp(-iHt) applied sector by sector, skipping sectors the vector has no weight in."""
-    out = np.zeros(amplitudes.shape, dtype=complex)
+def _propagate(h: SpinHamiltonian, t: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """exp(-iHt_k) of kets (m, 2^n) at every time t_k, as (K, m, 2^n): per sector the kets touch, one
+    projection, one (times x sector) phase product and one matmul back, all stacked matrix-vector products
+    (a first BLAS gemm call would add about 0.4 MB to a dense run's peak RSS)."""
+    out = np.zeros((t.size * len(kets), kets.shape[1]), dtype=complex)  # rows (time, ket)
     for idx, w, V in h._eigensystem():
-        part = amplitudes[idx]
+        part = kets[:, idx]
         if part.any():
-            out[idx] = V @ (np.exp(-1j * w * t) * (V.conj().T @ part))
-    return out
+            coeffs = np.exp(-1j * t[:, None, None] * w) * (V.conj().T @ part[..., None])[..., 0]
+            out[:, idx] = (V @ coeffs.reshape(-1, idx.size, 1))[..., 0]
+    return out.reshape(t.size, *kets.shape)
 
 
 def propagator(h: SpinHamiltonian, t: float) -> np.ndarray:
@@ -130,15 +134,11 @@ def propagator(h: SpinHamiltonian, t: float) -> np.ndarray:
 def evolve(h: SpinHamiltonian, state: RegisterState, t: float) -> RegisterState:
     if state.n_qubits != h.n_qubits:
         raise ValueError("state and Hamiltonian qubit counts differ")
-    return RegisterState(state.n_qubits, _propagate(h, t, state.amplitudes))
+    return RegisterState(state.n_qubits, _propagate(h, _times([t]), state.amplitudes[None])[0, 0])
 
 
 def unitary_flux_tomography(
-    U: np.ndarray,
-    input_qubit: int,
-    register: RegisterState,
-    target_qubit: int,
-    time_label: float | str = "",
+    U: np.ndarray, input_qubit: int, register: RegisterState, target_qubit: int, time_label: float | str = ""
 ) -> FluxMatrix:
     """FluxMatrix of an arbitrary unitary, read from U|reg,0> and U|reg,1>."""
     n = register.n_qubits + 1
@@ -149,20 +149,33 @@ def unitary_flux_tomography(
     return flux_readout(R[0, 0], R[1, 1], R[0, 1], target_qubit, time_label)
 
 
-def flux_tomography(
-    h: SpinHamiltonian,
-    t: float,
-    input_qubit: int,
-    register: RegisterState,
-    target_qubit: int,
-) -> FluxMatrix:
-    """FluxMatrix of exp(-iHt), read from the two input kets evolved sector by sector."""
+def flux_trajectory(
+    h: SpinHamiltonian, t_grid, input_qubit: int, register: RegisterState, target_qubit: int
+) -> list[FluxMatrix]:
+    """FluxMatrix of exp(-iHt) at every time of a grid, read from the two evolved input kets.
+
+    The grid is any scalar or 1-D array of finite times, in any order, and
+    may repeat a time; it is checked before anything is diagonalized.  Both
+    kets are evolved over the whole grid at once by `_propagate`, the
+    target's reduced blocks of every time come from one partial trace, and
+    `bloch_components` and `flux_columns` read them out as stacks.
+    `flux_tomography` is the one-time case.
+    """
+    t = _times(t_grid)
     n = register.n_qubits + 1
     if n != h.n_qubits:
         raise ValueError("register plus input does not match the Hamiltonian's qubit count")
-    kets = [_propagate(h, t, ket) for ket in input_kets(register, input_qubit)]
-    R = _reduced_blocks(kets, n, target_qubit)
-    return flux_readout(R[0, 0], R[1, 1], R[0, 1], target_qubit, t)
+    R = _reduced_blocks(_propagate(h, t, input_kets(register, input_qubit)), n, target_qubit)
+    b00, b11, b01 = (bloch_components(R[x, y]) for x, y in ((0, 0), (1, 1), (0, 1)))
+    entries = np.array(flux_columns(b00, b11, b01)).T
+    return [FluxMatrix(target_qubit, tk, e) for tk, e in zip(t.tolist(), entries)]
+
+
+def flux_tomography(
+    h: SpinHamiltonian, t: float, input_qubit: int, register: RegisterState, target_qubit: int
+) -> FluxMatrix:
+    """FluxMatrix of exp(-iHt) at one time: the one-time case of `flux_trajectory`."""
+    return flux_trajectory(h, [t], input_qubit, register, target_qubit)[0]
 
 
 def uqcm_chain_fidelity(J: float, t: float) -> float:
@@ -178,25 +191,18 @@ def uqcm_chain_fidelity(J: float, t: float) -> float:
     return cloning_fidelity(flux, BlochVector(0.0, 0.0, 1.0))
 
 
-def anisotropy_deviation(lam: float, J: float, t_grid: np.ndarray) -> float:
-    """Worst departure from letter-independent flux at the best time.
+def anisotropy_deviation(h: SpinHamiltonian, t_grid) -> float:
+    """Worst departure from letter-independent flux of a three-site chain at the best time.
 
-    For each time the three diagonal fluxes (X, Y, Z) of output qubit 1 are
-    read from tomography; the scan picks the time maximizing their mean and
-    reports the largest pairwise spread there.
+    One `flux_trajectory` gives the diagonal fluxes (X, Y, Z) of output qubit 1,
+    input at site 2 of a psi+ register; at the first grid time maximizing their
+    mean (`np.argmax` keeps the earliest tie) their largest spread is reported.
     """
-    h = SpinHamiltonian.heisenberg_chain(3, J, lam)
-    best_mean = -np.inf
-    best_dev = np.nan
-    for t in np.asarray(t_grid, dtype=float):
-        diag = flux_tomography(h, t, 2, psi_plus_state(), 1).diagonal()
-        mean = float(diag.mean())
-        if mean > best_mean:
-            best_mean = mean
-            best_dev = float(diag.max() - diag.min())
-    return best_dev
+    diag = np.array([fm.diagonal() for fm in flux_trajectory(h, t_grid, 2, psi_plus_state(), 1)])
+    return float(np.ptp(diag[np.argmax(diag.mean(axis=1))]))
 
 
 def universality_scan(lam_grid, J: float, t_grid) -> dict[float, float]:
     """Per-anisotropy deviation from universal (letter-independent) cloning."""
-    return {float(lam): anisotropy_deviation(float(lam), J, t_grid) for lam in lam_grid}
+    chains = {float(lam): SpinHamiltonian.heisenberg_chain(3, J, lam) for lam in lam_grid}
+    return {lam: anisotropy_deviation(h, t_grid) for lam, h in chains.items()}

@@ -132,30 +132,26 @@ def run_uqcm_prep_opt(params, seed):
     return [SummaryOutput("uqcm-prep-opt", items, extra)]
 
 
+def _eigensolve_extra(hamiltonians) -> dict[str, str]:
+    """Sector eigh calls and the largest block diagonalized, read off each cached eigensystem."""
+    sizes = [idx.size for h in hamiltonians for idx, _, _ in h._eigensystem()]
+    return {"cost.eigensolves": str(len(sizes)), "health.largest_block": str(max(sizes))}
+
+
 def run_uqcm_chain(params, seed):
     h = dense.SpinHamiltonian.heisenberg_chain(3, 1.0, 2.0)
-    register = psi_plus_state()
     pole = BlochVector(0.0, 0.0, 1.0)
-    rows = []
-    for jt in _grid(params, "t"):
-        fm = dense.flux_tomography(h, float(jt), 2, register, 1)
-        rows.append(
-            (
-                float(jt),
-                fm.entry("X", "X"),
-                fm.entry("Y", "Y"),
-                fm.entry("Z", "Z"),
-                cloning_fidelity(fm, pole),
-            )
-        )
-    cols = ("Jt", "I_XX", "I_YY", "I_ZZ", "fidelity")
-    return [TableOutput("uqcm-chain", cols, rows)]
+    trajectory = dense.flux_trajectory(h, _grid(params, "t"), 2, psi_plus_state(), 1)
+    rows = [(fm.time_label, *fm.diagonal(), cloning_fidelity(fm, pole)) for fm in trajectory]
+    return [TableOutput("uqcm-chain", ("Jt", "I_XX", "I_YY", "I_ZZ", "fidelity"), rows, _eigensolve_extra([h]))]
 
 
 def run_universality_scan(params, seed):
-    deviations = dense.universality_scan(params["lambdas"], 1.0, _grid(params, "t"))
-    rows = [(lam, dev) for lam, dev in deviations.items()]
-    return [TableOutput("universality-scan", ("lambda", "anisotropy_deviation"), rows)]
+    t_grid = _grid(params, "t")
+    chains = {lam: dense.SpinHamiltonian.heisenberg_chain(3, 1.0, lam) for lam in params["lambdas"]}
+    rows = [(lam, dense.anisotropy_deviation(h, t_grid)) for lam, h in chains.items()]
+    cols = ("lambda", "anisotropy_deviation")
+    return [TableOutput("universality-scan", cols, rows, _eigensolve_extra(chains.values()))]
 
 
 def run_transfer_single(params, seed):

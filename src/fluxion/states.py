@@ -101,19 +101,16 @@ def insert_qubit(register: RegisterState, input_amplitudes, position: int) -> Re
     c = np.asarray(input_amplitudes, dtype=complex).reshape(2)
     if not (abs(np.linalg.norm(c) - 1.0) <= NORM_TOL):
         raise ValueError("input qubit amplitudes not normalized")
+    return RegisterState(register.n_qubits + 1, c @ input_kets(register, position))
+
+
+def input_kets(register: RegisterState, input_qubit: int) -> np.ndarray:
+    """|reg,0> and |reg,1> as a (2, 2^n) stack, the input qubit inserted at 1-based `input_qubit`."""
     n = register.n_qubits + 1
-    if not 1 <= position <= n:
-        raise ValueError(f"position {position} out of range 1..{n}")
-    before = 1 << (position - 1)
-    after = 1 << (n - position)
-    reg = register.amplitudes.reshape(before, after)
-    full = np.einsum("i,ba->bia", c, reg).reshape(-1)
-    return RegisterState(n, full)
-
-
-def input_kets(register: RegisterState, input_qubit: int) -> list[np.ndarray]:
-    """|reg,0> and |reg,1>, the input qubit inserted at `input_qubit`."""
-    return [insert_qubit(register, amps, input_qubit).amplitudes for amps in np.eye(2)]
+    if not 1 <= input_qubit <= n:
+        raise ValueError(f"position {input_qubit} out of range 1..{n}")
+    reg = register.amplitudes.reshape(1 << (input_qubit - 1), -1)
+    return np.einsum("xi,ba->xbia", np.eye(2), reg).reshape(2, -1)
 
 
 def uqcm_preparation_state() -> RegisterState:
@@ -127,16 +124,18 @@ def psi_plus_state() -> RegisterState:
 
 
 def _reduced_blocks(kets, n: int, qubit: int) -> np.ndarray:
-    """R[x, y] = Tr_rest |ket_x><ket_y| of one qubit, for a stack (or list) of n-qubit kets."""
+    """R[x, y] = Tr_rest |ket_x><ket_y| of one qubit, for n-qubit kets stacked as (..., x, 2^n);
+    leading axes trail the 2x2 block, R[x, y, i, j, ...], so `bloch_components(R[x, y])` reads a stack."""
     if not 1 <= qubit <= n:
         raise ValueError(f"qubit {qubit} out of range 1..{n}")
-    psi = np.reshape(kets, (-1, 1 << (qubit - 1), 2, 1 << (n - qubit)))
-    return np.einsum("xaib,yajb->xyij", psi, psi.conj())
+    psi = np.asarray(kets)
+    psi = psi.reshape(*psi.shape[:-1], 1 << (qubit - 1), 2, 1 << (n - qubit))
+    return np.einsum("...xaib,...yajb->xyij...", psi, psi.conj())
 
 
 def reduced_qubit(state: RegisterState, qubit: int) -> np.ndarray:
     """2x2 reduced density matrix of one qubit."""
-    return _reduced_blocks(state.amplitudes, state.n_qubits, qubit)[0, 0]
+    return _reduced_blocks([state.amplitudes], state.n_qubits, qubit)[0, 0]
 
 
 def bloch_of_qubit(state: RegisterState, qubit: int) -> BlochVector:

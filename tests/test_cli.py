@@ -209,6 +209,24 @@ def test_chain_sidecars_carry_health_keys(tmp_path):
     assert float(meta["health.max_abs_f"]) == max(max_flux)
 
 
+def test_dense_sidecars_carry_eigensolve_cost(tmp_path):
+    """uqcm-chain and universality-scan count their sector eigh calls and the
+    largest block diagonalized; the data files keep their columns."""
+    common = {"experiment", "seed", "version", "wall_time_s", "created_utc"}
+    cost = {"cost.eigensolves", "health.largest_block"}
+    # the three-site chain splits into excitation sectors of sizes 1, 3, 3, 1
+    for experiment, params, solves, columns in (
+        ("uqcm-chain", {}, "4", "Jt,I_XX,I_YY,I_ZZ,fidelity"),
+        ("universality-scan", {"lambdas": "0, 1, 2, 3"}, "16", "lambda,anisotropy_deviation"),
+    ):
+        data, meta_path = run(RunConfig(experiment, params), out_dir=str(tmp_path / experiment))
+        meta = _read_meta(meta_path)
+        assert set(meta) == common | {f"param.{k}" for k in params} | cost
+        assert (meta["cost.eigensolves"], meta["health.largest_block"]) == (solves, "3")
+        with open(data) as fh:
+            assert fh.readline().rstrip("\n") == columns
+
+
 def test_main_exit_codes(tmp_path, capsys):
     good = write_config(
         tmp_path, "[run]\nexperiment = transfer-single\n\n[params]\nJt = 1.5\n"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxion import dense
 from fluxion.chain import CouplingProfile, flux_components, transfer_amplitude
 from fluxion.clifford import copying_stage, flux_matrix
 from fluxion.dense import (
@@ -10,12 +11,13 @@ from fluxion.dense import (
     anisotropy_deviation,
     evolve,
     flux_tomography,
+    flux_trajectory,
     propagator,
     unitary_flux_tomography,
     universality_scan,
     uqcm_chain_fidelity,
 )
-from fluxion.flux import solve_affine
+from fluxion.flux import FluxMatrix, solve_affine
 from fluxion.pauli import PauliString, expectation
 from fluxion.states import (
     DENSE_QUBIT_CAP,
@@ -152,7 +154,7 @@ def test_universality_scan_singles_out_lam2():
     assert scan[2.0] < 1e-9
     for lam in (0.0, 1.0, 3.0):
         assert scan[lam] > 1e-2
-    assert anisotropy_deviation(2.0, 1.0, grid) == scan[2.0]
+    assert anisotropy_deviation(SpinHamiltonian.heisenberg_chain(3, 1.0, 2.0), grid) == scan[2.0]
 
 
 def test_psi_plus_is_the_unique_optimal_register():
@@ -238,6 +240,63 @@ def test_direct_readout_matches_four_input_tomography(h, t, seed, data):
     assert np.abs(direct - oracle).max() < 1e-12
     via_unitary = unitary_flux_tomography(U, input_qubit, register, target_qubit).entries
     assert np.abs(via_unitary - oracle).max() < 1e-12
+
+
+@st.composite
+def time_grids(draw):
+    """Unsorted grids of 1-12 times in [-6, 6] that include t = 0 and list some time twice."""
+    times = draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=10))
+    grid = times + [0.0, draw(st.sampled_from(times))]
+    return draw(st.permutations(grid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hamiltonians(n_min=1), time_grids(), st.integers(0, 2**32 - 1), st.data())
+def test_trajectory_matches_unitary_tomography_at_every_time(h, grid, seed, data):
+    """Every FluxMatrix of one trajectory equals the read-out of the sector propagator at its time."""
+    n = h.n_qubits
+    register = random_register(n - 1, np.random.default_rng(seed))
+    input_qubit = data.draw(st.integers(1, n))
+    target_qubit = data.draw(st.integers(1, n))
+    trajectory = flux_trajectory(h, grid, input_qubit, register, target_qubit)
+    assert [fm.time_label for fm in trajectory] == grid
+    for t, fm in zip(grid, trajectory):
+        oracle = unitary_flux_tomography(propagator(h, t), input_qubit, register, target_qubit)
+        assert np.abs(fm.entries - oracle.entries).max() < 1e-12
+
+
+def test_anisotropy_deviation_keeps_the_earliest_tied_time(monkeypatch):
+    """np.argmax keeps the first of equal means, as the strict `>` scan did.
+
+    The two read-outs have the same diagonal mean 1/2 (exact in binary) and
+    spreads 0 and 1/2; whichever is listed first is reported.
+    """
+    flat = FluxMatrix(1, 0.0, np.diag([0.5, 0.5, 0.5, 0.0])[:3])
+    spread = FluxMatrix(1, 0.0, np.diag([0.25, 0.5, 0.75, 0.0])[:3])
+    h = SpinHamiltonian.heisenberg_chain(3, 1.0, 2.0)
+    for pair, expected in (((flat, spread), 0.0), ((spread, flat), 0.5)):
+        monkeypatch.setattr(dense, "flux_trajectory", lambda *args, pair=pair: list(pair))
+        assert anisotropy_deviation(h, [0.4, 0.4]) == expected
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda h: flux_tomography(h, np.nan, 2, psi_plus_state(), 1), "t=nan"),
+        (lambda h: flux_tomography(h, np.inf, 2, psi_plus_state(), 1), "t=inf"),
+        (lambda h: anisotropy_deviation(h, [0.1, np.nan]), "t=nan"),
+        (lambda h: evolve(h, RegisterState.computational(3, 1), np.nan), "t=nan"),
+        (lambda h: flux_trajectory(h, np.zeros((2, 3)), 2, psi_plus_state(), 1), r"shape \(2, 3\)"),
+    ],
+    ids=["flux_tomography-nan", "flux_tomography-inf", "anisotropy_deviation-nan", "evolve-nan", "trajectory-2d"],
+)
+def test_bad_times_rejected_before_any_eigensolve(monkeypatch, call, message):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(args) or eigh(*args))
+    with pytest.raises(ValueError, match=message):
+        call(SpinHamiltonian.heisenberg_chain(3, 1.0, 2.0))
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None)

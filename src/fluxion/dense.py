@@ -1,11 +1,14 @@
 """Full Hilbert-space dynamics for spin-chain Hamiltonians, small registers only.
 
-H is assembled from its Pauli words by `pauli._terms_sparse` and, when no
-entry couples different excitation numbers (popcounts), as for every chain
-that commutes with total Z, diagonalized one popcount sector at a time;
-otherwise as one block.  `_propagate` is the one evolution path: a stack of
-kets is projected once onto each sector it touches and evolved over a whole
-time grid as one (times x sector) phase product.  `flux_trajectory`, the
+H is assembled from its Pauli words by `pauli._terms_sparse` and split into
+popcount (excitation-number) sectors when no entry couples different
+popcounts, as for every chain that commutes with total Z; otherwise it is
+one block.  A sector is diagonalized the first time a ket has weight in it
+(`SpinHamiltonian._sector`) and cached on the Hamiltonian, so a
+computational register costs the two sectors its input kets touch.
+`_propagate` is the one evolution path: a stack of kets is projected once
+onto each sector it touches and evolved over a whole time grid as one
+(times x sector) phase product.  `flux_trajectory`, the
 engine's one grid read-out, takes the flux at every grid time from the two
 evolved input kets U|reg,0> and U|reg,1> through the one ket partial trace
 `states._reduced_blocks`, with no propagator formed; `flux_tomography` is
@@ -52,6 +55,9 @@ class SpinHamiltonian:
                 raise ValueError(f"couplings must be finite, got {coupling}")
             if abs(complex(coupling).imag) > 0:
                 raise ValueError("couplings must be real")
+            if s.phase not in (1, -1):
+                raise ValueError(f"terms must be Hermitian words (phase +-1), got phase {s.phase}")
+        object.__setattr__(self, "_eig", {})  # sector label -> `_sector`'s solve, filled on first touch
 
     @classmethod
     def heisenberg_chain(cls, n_qubits: int, J: float, lam: float) -> "SpinHamiltonian":
@@ -80,45 +86,56 @@ class SpinHamiltonian:
     def to_matrix(self) -> np.ndarray:
         return _dense(self.n_qubits, self._sparse())
 
-    def _eigensystem(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """(basis indices, eigenvalues, eigenvectors) of every diagonal block.
+    def _partition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(sector label of every basis state, rows, cols, vals) of H, cached.
 
-        The blocks are the popcount (excitation-number) sectors when no
-        nonzero entry of H couples different popcounts, else the whole space
-        as one block.  A block with no imaginary entry is diagonalized as real.
+        The sectors are the popcounts (excitation numbers) when no nonzero
+        entry of H couples different popcounts, else the whole space as one
+        sector 0.
         """
-        cached = getattr(self, "_eig", None)
+        cached = getattr(self, "_sectors", None)
         if cached is None:
             rows, cols, vals = self._sparse()
             sector = np.bitwise_count(np.arange(1 << self.n_qubits))
             if not np.array_equal(sector[rows], sector[cols]):
                 sector = np.zeros_like(sector)
-            entry_sector = sector[rows]
-            blocks = []
-            for k in range(int(sector.max()) + 1):
-                idx = np.flatnonzero(sector == k)
-                sel = entry_sector == k
-                entries = vals[sel] if vals[sel].imag.any() else vals[sel].real
-                B = np.zeros((idx.size, idx.size), dtype=entries.dtype)
-                B[np.searchsorted(idx, rows[sel]), np.searchsorted(idx, cols[sel])] = entries
-                if not (np.abs(B - B.conj().T).max() <= 1e-12):
-                    raise AssertionError("Hamiltonian is not Hermitian")
-                blocks.append((idx, *np.linalg.eigh(B)))
-            cached = tuple(blocks)
-            object.__setattr__(self, "_eig", cached)
+            cached = (sector, rows, cols, vals)
+            object.__setattr__(self, "_sectors", cached)
         return cached
+
+    def _sector(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(basis indices, eigenvalues, eigenvectors) of sector k, diagonalized on first use and cached.
+
+        A block with no imaginary entry is diagonalized as real.
+        """
+        if k not in self._eig:
+            sector, rows, cols, vals = self._partition()
+            idx = np.flatnonzero(sector == k)
+            sel = sector[rows] == k
+            entries = vals[sel] if vals[sel].imag.any() else vals[sel].real
+            B = np.zeros((idx.size, idx.size), dtype=entries.dtype)
+            B[np.searchsorted(idx, rows[sel]), np.searchsorted(idx, cols[sel])] = entries
+            if not (np.abs(B - B.conj().T).max() <= 1e-12):
+                raise AssertionError("Hamiltonian is not Hermitian")
+            self._eig[k] = (idx, *np.linalg.eigh(B))
+        return self._eig[k]
+
+    def _eigensystem(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """`_sector` of every sector, in label order."""
+        return tuple(self._sector(k) for k in range(int(self._partition()[0].max()) + 1))
 
 
 def _propagate(h: SpinHamiltonian, t: np.ndarray, kets: np.ndarray) -> np.ndarray:
     """exp(-iHt_k) of kets (m, 2^n) at every time t_k, as (K, m, 2^n): per sector the kets touch, one
     projection, one (times x sector) phase product and one matmul back, all stacked matrix-vector products
-    (a first BLAS gemm call would add about 0.4 MB to a dense run's peak RSS)."""
+    (a first BLAS gemm call would add about 0.4 MB to a dense run's peak RSS).  Sectors the kets miss are
+    never diagonalized."""
     out = np.zeros((t.size * len(kets), kets.shape[1]), dtype=complex)  # rows (time, ket)
-    for idx, w, V in h._eigensystem():
+    for k in np.flatnonzero(np.bincount(h._partition()[0][kets.any(axis=0)])).tolist():
+        idx, w, V = h._sector(k)
         part = kets[:, idx]
-        if part.any():
-            coeffs = np.exp(-1j * t[:, None, None] * w) * (V.conj().T @ part[..., None])[..., 0]
-            out[:, idx] = (V @ coeffs.reshape(-1, idx.size, 1))[..., 0]
+        coeffs = np.exp(-1j * t[:, None, None] * w) * (V.conj().T @ part[..., None])[..., 0]
+        out[:, idx] = (V @ coeffs.reshape(-1, idx.size, 1))[..., 0]
     return out.reshape(t.size, *kets.shape)
 
 

@@ -133,8 +133,8 @@ def run_uqcm_prep_opt(params, seed):
 
 
 def _eigensolve_extra(hamiltonians) -> dict[str, str]:
-    """Sector eigh calls and the largest block diagonalized, read off each cached eigensystem."""
-    sizes = [idx.size for h in hamiltonians for idx, _, _ in h._eigensystem()]
+    """Sector eigh calls and the largest block diagonalized, read off the sectors each Hamiltonian solved."""
+    sizes = [idx.size for h in hamiltonians for idx, _, _ in h._eig.values()]
     return {"cost.eigensolves": str(len(sizes)), "health.largest_block": str(max(sizes))}
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chain import _grid_1d
 from .dense import SpinHamiltonian
 from .flux import FluxMatrix, flux_readout
 from .pauli import PauliObservable, PauliString, _terms_sparse, qubit_mask
@@ -168,7 +169,7 @@ def _evolve(entries: np.ndarray, spec: LindbladSpec, n: int, t_grid):
     """
     if n > OPEN_QUBIT_CAP:
         raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _grid_1d(t_grid, "t_grid")
     if not (np.isfinite(t_grid) & (t_grid >= 0)).all():
         raise ValueError("times must be finite and >= 0")
     if not (np.diff(t_grid) >= 0).all():
@@ -206,6 +207,7 @@ def open_flux_trajectory(
     the target Bloch vector.
     """
     n = register.n_qubits + 1
+    t_grid = _grid_1d(t_grid, "t_grid")
     k0, k1 = input_kets(register, input_qubit)
     qubit_mask(n, target_qubit)  # rejects an out-of-range target before anything is integrated
     units = [np.outer(a, b.conj()) for a, b in ((k0, k0), (k1, k1), (k0, k1))]

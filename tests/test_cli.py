@@ -214,10 +214,11 @@ def test_dense_sidecars_carry_eigensolve_cost(tmp_path):
     largest block diagonalized; the data files keep their columns."""
     common = {"experiment", "seed", "version", "wall_time_s", "created_utc"}
     cost = {"cost.eigensolves", "health.largest_block"}
-    # the three-site chain splits into excitation sectors of sizes 1, 3, 3, 1
+    # the three-site chain splits into excitation sectors of sizes 1, 3, 3, 1; the input
+    # kets of a psi+ register touch only the two sectors of size 3
     for experiment, params, solves, columns in (
-        ("uqcm-chain", {}, "4", "Jt,I_XX,I_YY,I_ZZ,fidelity"),
-        ("universality-scan", {"lambdas": "0, 1, 2, 3"}, "16", "lambda,anisotropy_deviation"),
+        ("uqcm-chain", {}, "2", "Jt,I_XX,I_YY,I_ZZ,fidelity"),
+        ("universality-scan", {"lambdas": "0, 1, 2, 3"}, "8", "lambda,anisotropy_deviation"),
     ):
         data, meta_path = run(RunConfig(experiment, params), out_dir=str(tmp_path / experiment))
         meta = _read_meta(meta_path)

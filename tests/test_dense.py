@@ -331,9 +331,61 @@ def test_nonfinite_coupling_rejected(bad):
 
 def test_non_hermitian_term_rejected():
     for label in ("X1", "Z1Z2"):
-        h = SpinHamiltonian(2, ((0.5, PauliString.from_label(2, label, phase=1j)),))
-        with pytest.raises(AssertionError):
-            h._eigensystem()
+        with pytest.raises(ValueError, match="Hermitian"):
+            SpinHamiltonian(2, ((0.5, PauliString.from_label(2, label, phase=1j)),))
+    # i |000><000| as its eight Z words lies in the one sector that the input kets of an excited
+    # register never touch, so lazy sector solves would never see it: construction rejects it
+    words = [PauliString(3, 0, z_mask, 1j) for z_mask in range(8)]
+    projector = sum(s.to_matrix() for s in words) / 8
+    assert np.array_equal(projector, np.diag([1j] + [0] * 7))
+    chain = SpinHamiltonian.xy_chain(CouplingProfile(3, np.array([1.0, 0.7])))
+    with pytest.raises(ValueError, match="Hermitian"):
+        SpinHamiltonian(3, chain.terms + tuple((1 / 8, s) for s in words))
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The block size of every `np.linalg.eigh` call the test makes."""
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda B: sizes.append(len(B)) or eigh(B))
+    return sizes
+
+
+def test_computational_register_solves_only_the_two_touched_sectors(eigh_sizes):
+    """|0...0> with the input qubit gives kets in sectors 0 and 1; the 252-state middle sector
+    of a ten-qubit XY chain is never diagonalized."""
+    n = 10
+    h = SpinHamiltonian.xy_chain(CouplingProfile(n, np.linspace(0.5, 1.5, n - 1)))
+    flux_tomography(h, 1.3, 1, RegisterState.computational(n - 1, 0), n)
+    assert eigh_sizes == [1, 10]
+    assert sorted(h._eig) == [0, 1]
+
+
+def test_later_registers_solve_only_sectors_not_yet_cached(eigh_sizes):
+    n, t = 5, 0.9
+    prof = CouplingProfile(n, np.array([0.6, 1.2, 0.9, 1.4]))
+    h = SpinHamiltonian.xy_chain(prof)
+    U = propagator(SpinHamiltonian.xy_chain(prof), t)  # a separate Hamiltonian solves every sector
+    eigh_sizes.clear()
+    # input at qubit 2 of |0100> gives kets |01000> and |01100>: sectors 1 and 2
+    for register, solved, sizes in (
+        (RegisterState.computational(n - 1, 0b0100), [1, 2], [5, 10]),
+        (random_register(n - 1, np.random.default_rng(24)), [0, 1, 2, 3, 4, 5], [1, 10, 5, 1]),
+    ):
+        fm = flux_tomography(h, t, 2, register, 4)
+        oracle = unitary_flux_tomography(U, 2, register, 4)
+        assert np.abs(fm.entries - oracle.entries).max() < 1e-12
+        assert (sorted(h._eig), eigh_sizes) == (solved, sizes)
+        eigh_sizes.clear()
+
+
+def test_hamiltonian_without_popcount_sectors_solves_one_block(eigh_sizes):
+    h = random_term_hamiltonian(3, np.random.default_rng(31))
+    flux_tomography(h, 0.8, 1, RegisterState.computational(2, 0), 3)
+    flux_tomography(h, 0.4, 2, psi_plus_state(), 1)
+    assert eigh_sizes == [8]
+    assert list(h._eig) == [0]
 
 
 def test_chain_matches_dense_at_cap():

@@ -151,6 +151,10 @@ def test_trajectory_edge_cases():
     assert expectation_trajectory(spec, ident, rho0, np.array([])).size == 0
     only_zero = expectation_trajectory(spec, PauliString.from_label(1, "X1"), rho0, np.zeros(3))
     assert np.allclose(only_zero, 1.0)
+    # a scalar grid is the one-time case, as in the dense engine
+    (single,) = open_flux_trajectory(spec, 0.5, 1, RegisterState.empty(), 1)
+    once = open_flux_tomography(spec, 0.5, 1, RegisterState.empty(), 1)
+    assert single.time_label == once.time_label and np.array_equal(single.entries, once.entries)
     with pytest.raises(ValueError):
         expectation_trajectory(spec, ident, rho0, np.array([1.0, 0.5]))
     # a dissipative generator must not be integrated backwards
@@ -353,6 +357,18 @@ def test_infinite_time_rejected_before_integration(integrations):
         open_flux_tomography(spec, np.inf, 1, RegisterState.empty(), 1)
     with pytest.raises(ValueError, match="finite"):
         open_flux_trajectory(spec, [0.5, np.inf], 1, RegisterState.empty(), 1)
+    assert integrations == []
+
+
+def test_grid_of_higher_rank_rejected_before_integration(integrations):
+    """A 2-D grid is a shape error, not numpy's ambiguous truth value inside the time loop."""
+    spec = LindbladSpec(0.1, 0.05)
+    rho0 = DensityMatrix.from_state(RegisterState.computational(1, 1))
+    grid = [[0.0, 1.0], [2.0, 3.0]]
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+        open_flux_trajectory(spec, grid, 1, RegisterState.empty(), 1)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+        expectation_trajectory(spec, PauliString.from_label(1, "Z1"), rho0, grid)
     assert integrations == []
 
 

@@ -1,8 +1,9 @@
 """Command-line driver: config parsing, validation, and result serialization.
 
 Config files are INI text with a [run] section (experiment, seed) and a
-[params] section of experiment-specific keys.  Grid outputs go to CSV with
-at least 12 significant digits; scalar summaries go to key=value text.  Data
+[params] section of experiment-specific keys.  Grid outputs go to CSV and
+scalar summaries to key=value text, each value written by its numpy dtype:
+floats as `{:.15g}`, integers as integers, labels verbatim.  Data
 files are deterministic for a fixed config and seed; timestamps live only in
 the metadata sidecars.  All files are written to a temporary name and
 renamed into place, so failed runs leave no partial outputs.
@@ -19,6 +20,8 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from importlib import metadata as importlib_metadata
+
+import numpy as np
 
 from .experiments import EXPERIMENTS, PARAM_SPECS, SummaryOutput, TableOutput, cross_checks
 
@@ -145,14 +148,12 @@ def validate(config: RunConfig) -> list[str]:
     return []
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.15g}"
-    return str(v)
+_FIELDS = {"f": "{:.15g}", "i": "{:d}", "b": "{:d}", "U": "{}"}  # numpy dtype kind -> format field
+
+
+def _field(values) -> str:
+    """The format field of a column or a scalar, by its numpy dtype kind."""
+    return _FIELDS[np.asarray(values).dtype.kind]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -204,15 +205,12 @@ def run(config: RunConfig, out_dir: str = ".") -> list[str]:
     for output in outputs:
         if isinstance(output, TableOutput):
             path = os.path.join(out_dir, f"{output.name}.csv")
-            lines = [",".join(output.columns)]
-            for row in output.rows:
-                lines.append(",".join(_format_cell(v) for v in row))
-            _atomic_write(path, "\n".join(lines) + "\n")
+            template = ",".join(map(_field, output.columns.values()))
+            cells = (column.tolist() for column in output.columns.values())
+            _atomic_write(path, "\n".join([",".join(output.columns), *map(template.format, *cells)]) + "\n")
         elif isinstance(output, SummaryOutput):
             path = os.path.join(out_dir, f"{output.name}.txt")
-            _atomic_write(
-                path, "".join(f"{k} = {_format_cell(v)}\n" for k, v in output.items.items())
-            )
+            _atomic_write(path, "".join(f"{k} = {_field(v).format(v)}\n" for k, v in output.items.items()))
         else:
             raise TypeError(f"unexpected output {output!r}")
         _write_metadata(path + ".meta", _metadata(config, output.extra, wall))

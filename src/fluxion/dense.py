@@ -8,15 +8,15 @@ one block.  A sector is diagonalized the first time a ket has weight in it
 computational register costs the two sectors its input kets touch.
 `_propagate` is the one evolution path: a stack of kets is projected once
 onto each sector it touches and evolved over a whole time grid as one
-(times x sector) phase product.  `flux_trajectory`, the
-engine's one grid read-out, takes the flux at every grid time from the two
-evolved input kets U|reg,0> and U|reg,1> through the one ket partial trace
-`states._reduced_blocks`, with no propagator formed; `flux_tomography` is
-its one-time case, as in the open engine.  `propagator`,
-`unitary_flux_tomography` and four-input tomography (`flux.solve_affine`)
-are test oracles kept in the package while perfbench/tracing.py wraps them
-by name.  The engine serves few-qubit chains and checks the large-N
-single-excitation engine.
+(times x sector) phase product.  `flux_trajectory`, the engine's one grid
+read-out, takes the flux at every grid time from the two evolved input kets
+U|reg,0> and U|reg,1> through the one ket partial trace
+`states._reduced_blocks` and the stacked `flux.flux_readout`, with no
+propagator formed; `flux_tomography` is its one-time case, as in the open
+engine.  `propagator`, `unitary_flux_tomography` and four-input tomography
+(`flux.solve_affine`) are test oracles kept in the package while
+perfbench/tracing.py wraps them by name.  The engine serves few-qubit chains
+and checks the large-N single-excitation engine.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import CouplingProfile, _times
-from .flux import FluxMatrix, cloning_fidelity, flux_columns, flux_readout
+from .flux import FluxMatrix, cloning_fidelity, flux_readout
 from .pauli import PauliString, _dense, _terms_sparse
 from .states import (
     DENSE_QUBIT_CAP,
     BlochVector,
     RegisterState,
     _reduced_blocks,
-    bloch_components,
     input_kets,
     psi_plus_state,
 )
@@ -162,8 +161,7 @@ def unitary_flux_tomography(
     if U.shape != (1 << n, 1 << n):
         raise ValueError("unitary dimension does not match register plus input")
     kets = [U @ ket for ket in input_kets(register, input_qubit)]
-    R = _reduced_blocks(kets, n, target_qubit)
-    return flux_readout(R[0, 0], R[1, 1], R[0, 1], target_qubit, time_label)
+    return flux_readout(_reduced_blocks([kets], n, target_qubit), target_qubit, [time_label])[0]
 
 
 def flux_trajectory(
@@ -175,17 +173,15 @@ def flux_trajectory(
     may repeat a time; it is checked before anything is diagonalized.  Both
     kets are evolved over the whole grid at once by `_propagate`, the
     target's reduced blocks of every time come from one partial trace, and
-    `bloch_components` and `flux_columns` read them out as stacks.
-    `flux_tomography` is the one-time case.
+    `flux.flux_readout` reads them out as one stack.  `flux_tomography` is
+    the one-time case.
     """
     t = _times(t_grid)
     n = register.n_qubits + 1
     if n != h.n_qubits:
         raise ValueError("register plus input does not match the Hamiltonian's qubit count")
     R = _reduced_blocks(_propagate(h, t, input_kets(register, input_qubit)), n, target_qubit)
-    b00, b11, b01 = (bloch_components(R[x, y]) for x, y in ((0, 0), (1, 1), (0, 1)))
-    entries = np.array(flux_columns(b00, b11, b01)).T
-    return [FluxMatrix(target_qubit, tk, e) for tk, e in zip(t.tolist(), entries)]
+    return flux_readout(R, target_qubit, t.tolist())
 
 
 def flux_tomography(

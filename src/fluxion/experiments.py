@@ -26,9 +26,13 @@ FLUX_COLUMNS = tuple(
 @dataclass
 class TableOutput:
     name: str
-    columns: tuple[str, ...]
-    rows: list[tuple]
+    columns: dict[str, np.ndarray]  # header -> 1-D column, all of one length
     extra: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The table as row tuples, read only by perfbench/tracing.py."""
+        return list(zip(*self.columns.values()))
 
 
 @dataclass
@@ -88,32 +92,34 @@ def _array_sizes(experiment: str, p: dict) -> dict[str, float]:
     return sizes
 
 
-def _flux_row(fm) -> tuple:
-    return tuple(float(v) for v in fm.entries.ravel())
+def _flux_columns(fluxes) -> dict[str, np.ndarray]:
+    """The FLUX_COLUMNS of a list of FluxMatrix, one row per matrix, from one stack of their entries."""
+    return dict(zip(FLUX_COLUMNS, np.array([fm.entries for fm in fluxes]).reshape(-1, 12).T))
+
+
+def _pole_fidelities(fluxes) -> np.ndarray:
+    """`cloning_fidelity` of the input |0> (Bloch pole z) through each FluxMatrix."""
+    pole = BlochVector(0.0, 0.0, 1.0)
+    return np.array([cloning_fidelity(fm, pole) for fm in fluxes])
 
 
 def run_table1(params, seed):
     cells = clifford.table1()
-    rows = []
-    for qubit in (1, 2, 3):
-        for letter in ("X", "Z"):
-            labels = [s.label() for s in cells[(letter, qubit)]]
-            rows.append((f"{letter}{qubit}", *labels))
-    return [TableOutput("table1", ("operator", "t1", "t2", "t3", "t4"), rows)]
+    keys = [(letter, qubit) for qubit in (1, 2, 3) for letter in ("X", "Z")]
+    labels = np.array([[s.label() for s in cells[key]] for key in keys])
+    operators = np.array([f"{letter}{qubit}" for letter, qubit in keys])
+    return [TableOutput("table1", {"operator": operators, **dict(zip(("t1", "t2", "t3", "t4"), labels.T))})]
 
 
 def run_uqcm_circuit(params, seed):
     stage = clifford.copying_stage()
     register = uqcm_preparation_state()
-    pole = BlochVector(0.0, 0.0, 1.0)
-    rows = []
-    for step in range(1, 5):
-        circuit = stage.prefix(step)
-        for target in (2, 3):
-            fm = clifford.flux_matrix(circuit, register, 1, target, f"t{step}")
-            rows.append((step, target, *_flux_row(fm), cloning_fidelity(fm, pole)))
-    cols = ("step", "target", *FLUX_COLUMNS, "fidelity_z_input")
-    return [TableOutput("uqcm-circuit", cols, rows)]
+    steps, targets = (a.ravel() for a in np.meshgrid(np.arange(1, 5), (2, 3), indexing="ij"))
+    pairs = zip(steps.tolist(), targets.tolist())
+    fluxes = [clifford.flux_matrix(stage.prefix(step), register, 1, target, f"t{step}") for step, target in pairs]
+    columns = {"step": steps, "target": targets, **_flux_columns(fluxes)}
+    columns["fidelity_z_input"] = _pole_fidelities(fluxes)
+    return [TableOutput("uqcm-circuit", columns)]
 
 
 def run_uqcm_prep_opt(params, seed):
@@ -140,18 +146,21 @@ def _eigensolve_extra(hamiltonians) -> dict[str, str]:
 
 def run_uqcm_chain(params, seed):
     h = dense.SpinHamiltonian.heisenberg_chain(3, 1.0, 2.0)
-    pole = BlochVector(0.0, 0.0, 1.0)
-    trajectory = dense.flux_trajectory(h, _grid(params, "t"), 2, psi_plus_state(), 1)
-    rows = [(fm.time_label, *fm.diagonal(), cloning_fidelity(fm, pole)) for fm in trajectory]
-    return [TableOutput("uqcm-chain", ("Jt", "I_XX", "I_YY", "I_ZZ", "fidelity"), rows, _eigensolve_extra([h]))]
+    t_grid = _grid(params, "t")
+    trajectory = dense.flux_trajectory(h, t_grid, 2, psi_plus_state(), 1)
+    flux = _flux_columns(trajectory)
+    columns = {"Jt": t_grid, **{k: flux[k] for k in ("I_XX", "I_YY", "I_ZZ")}}
+    columns["fidelity"] = _pole_fidelities(trajectory)
+    return [TableOutput("uqcm-chain", columns, _eigensolve_extra([h]))]
 
 
 def run_universality_scan(params, seed):
     t_grid = _grid(params, "t")
-    chains = {lam: dense.SpinHamiltonian.heisenberg_chain(3, 1.0, lam) for lam in params["lambdas"]}
-    rows = [(lam, dense.anisotropy_deviation(h, t_grid)) for lam, h in chains.items()]
-    cols = ("lambda", "anisotropy_deviation")
-    return [TableOutput("universality-scan", cols, rows, _eigensolve_extra(chains.values()))]
+    lams = np.array(params["lambdas"])
+    chains = [dense.SpinHamiltonian.heisenberg_chain(3, 1.0, lam) for lam in lams.tolist()]
+    deviations = np.array([dense.anisotropy_deviation(h, t_grid) for h in chains])
+    columns = {"lambda": lams, "anisotropy_deviation": deviations}
+    return [TableOutput("universality-scan", columns, _eigensolve_extra(chains))]
 
 
 def run_transfer_single(params, seed):
@@ -176,11 +185,10 @@ def run_transfer_single(params, seed):
 
 def run_transfer_sweep(params, seed):
     sweep = chain.eta_sweep(params["n_qubits"], _grid(params, "eta"), _grid(params, "t"))
-    rows = []
-    for i, eta in enumerate(sweep.eta_grid):
-        for k, jt in enumerate(sweep.t_grid):
-            is_max = int(eta == sweep.eta_max and jt == sweep.t_max)
-            rows.append((float(eta), float(jt), float(sweep.surface[i, k]), is_max))
+    eta, jt = np.meshgrid(sweep.eta_grid, sweep.t_grid, indexing="ij")
+    is_argmax = (eta == sweep.eta_max) & (jt == sweep.t_max)
+    columns = {"eta": eta.ravel(), "Jt": jt.ravel(), "abs_f": sweep.surface.ravel()}
+    columns["is_argmax"] = is_argmax.ravel()
     extra = {
         "eta_max": f"{sweep.eta_max:.15g}",
         "Jt_max": f"{sweep.t_max:.15g}",
@@ -189,43 +197,34 @@ def run_transfer_sweep(params, seed):
         "health.argmax_ties": f"{sweep.argmax_ties:d}",
         "health.max_abs_f": f"{sweep.surface.max():.15g}",
     }
-    return [TableOutput("transfer-sweep", ("eta", "Jt", "abs_f", "is_argmax"), rows, extra)]
+    return [TableOutput("transfer-sweep", columns, extra)]
 
 
 def run_transfer_disorder(params, seed):
     spec = chain.DisorderSpec(params["sigma"], params["trials"], seed)
     result = chain.disorder_ensemble(params["n_qubits"], params["eta"], spec, _grid(params, "t"))
-    surface_rows = [
-        (float(t), float(m), float(s))
-        for t, m, s in zip(result.t_grid, result.mean_flux, result.std_flux)
-    ]
-    negative = set(result.negative_coupling_trials)
-    trial_rows = [
-        (k, float(result.max_fluxes[k]), float(result.argmax_times[k]), int(k in negative))
-        for k in range(spec.trials)
-    ]
+    surface = {"Jt": result.t_grid, "mean_flux": result.mean_flux, "std_flux": result.std_flux}
+    trial = np.arange(spec.trials)
+    trials = {
+        "trial": trial,
+        "max_flux": result.max_fluxes,
+        "argmax_Jt": result.argmax_times,
+        "negative_coupling": np.isin(trial, result.negative_coupling_trials),
+    }
     extra = {
         "mean_max_flux": f"{result.max_fluxes.mean():.15g}",
         "median_argmax_Jt": f"{np.median(result.argmax_times):.15g}",
-        "negative_coupling_trials": str(len(negative)),
+        "negative_coupling_trials": str(len(result.negative_coupling_trials)),
         "health.max_abs_f": f"{result.max_fluxes.max():.15g}",
     }
-    return [
-        TableOutput("transfer-disorder", ("Jt", "mean_flux", "std_flux"), surface_rows, extra),
-        TableOutput(
-            "transfer-disorder-trials",
-            ("trial", "max_flux", "argmax_Jt", "negative_coupling"),
-            trial_rows,
-        ),
-    ]
+    return [TableOutput("transfer-disorder", surface, extra), TableOutput("transfer-disorder-trials", trials)]
 
 
 def run_perfect_transfer(params, seed):
-    rows = []
-    for n in params["n_list"]:
-        f = chain.transfer_amplitude(chain.CouplingProfile.perfect(n, 1.0), np.pi)
-        rows.append((n, abs(f)))
-    return [TableOutput("perfect-transfer", ("n_qubits", "abs_f_at_star"), rows)]
+    n_list = np.array(params["n_list"])
+    profiles = [chain.CouplingProfile.perfect(n, 1.0) for n in n_list.tolist()]
+    abs_f = np.abs([chain.transfer_amplitude(profile, np.pi) for profile in profiles])
+    return [TableOutput("perfect-transfer", {"n_qubits": n_list, "abs_f_at_star": abs_f})]
 
 
 def run_series_check(params, seed):
@@ -233,16 +232,17 @@ def run_series_check(params, seed):
     jt = params["Jt"]
     series = chain.series_flux(profile, jt, params["truncation_order"])
     prop = chain.propagator_coefficients(profile, jt)
-    rows = [
-        (j + 1, float(series.coefficients[j]), float(prop[j]), float(abs(series.coefficients[j] - prop[j])))
-        for j in range(params["n_qubits"])
-    ]
+    columns = {
+        "site": np.arange(1, params["n_qubits"] + 1),
+        "series_coefficient": series.coefficients,
+        "propagator_coefficient": prop,
+        "abs_difference": np.abs(series.coefficients - prop),
+    }
     extra = {
         "truncation_bound": f"{series.truncation_bound:.15g}",
         "terms_used": str(series.terms_used),
     }
-    cols = ("site", "series_coefficient", "propagator_coefficient", "abs_difference")
-    return [TableOutput("series-check", cols, rows, extra)]
+    return [TableOutput("series-check", columns, extra)]
 
 
 def run_open_flux(params, seed):
@@ -255,12 +255,12 @@ def run_open_flux(params, seed):
         params["damping"], params["dephasing"], params["n_bar"], hamiltonian
     )
     register = RegisterState.computational(n - 1, 0)
+    t_grid = _grid(params, "t")
     fluxes = lindblad.open_flux_trajectory(
-        spec, _grid(params, "t"), params["input_qubit"], register, params["target_qubit"]
+        spec, t_grid, params["input_qubit"], register, params["target_qubit"]
     )
-    rows = [(fm.time_label, *_flux_row(fm)) for fm in fluxes]
     extra = {"time_units": "absolute t; damping, dephasing, and J are rates per unit t"}
-    return [TableOutput("open-flux", ("t", *FLUX_COLUMNS), rows, extra)]
+    return [TableOutput("open-flux", {"t": t_grid, **_flux_columns(fluxes)}, extra)]
 
 
 EXPERIMENTS = {

@@ -8,7 +8,8 @@ carries input-independent (affine) contributions.
 The map is linear in the input's density matrix, so the target's responses
 to the input units |0><0|, |1><1| and |0><1| fix it.  `flux_columns`, the
 one formula from those responses to M and c, is shared by the Clifford,
-dense and open engines.  Its oracles stay apart: the closed form
+dense and open engines, the last two through `flux_readout`, which reads a
+stack of times at once.  Its oracles stay apart: the closed form
 `chain.flux_components`, and `solve_affine`, four-input tomography over
 `TOMOGRAPHY_INPUTS`, kept in the package while perfbench/tracing.py wraps it
 by name; the other oracles are in tests/oracles.py.
@@ -89,11 +90,13 @@ def flux_columns(b00, b11, b01):
     return b01.real, b01.imag, (b00 - b11) / 2, (b00 + b11) / 2
 
 
-def flux_readout(r00, r11, r01, target_qubit: int, time_label) -> FluxMatrix:
-    """FluxMatrix from the target's reduced blocks R_ab of the evolved input units,
-    through `flux_columns` of their Bloch components (Tr XR, Tr YR, Tr ZR)."""
-    b00, b11, b01 = (bloch_components(r) for r in (r00, r11, r01))
-    return FluxMatrix(target_qubit, time_label, np.column_stack(flux_columns(b00, b11, b01)))
+def flux_readout(R: np.ndarray, target_qubit: int, time_labels) -> list[FluxMatrix]:
+    """FluxMatrix at every time k from the target's reduced blocks R[a, b, i, j, k] of the evolved
+    input units |a><b| (the layout of `states._reduced_blocks`), through `flux_columns` of their
+    Bloch components (Tr XR, Tr YR, Tr ZR); R[1, 0] is not read."""
+    b00, b11, b01 = (bloch_components(R[a, b]) for a, b in ((0, 0), (1, 1), (0, 1)))
+    entries = np.array(flux_columns(b00, b11, b01)).T
+    return [FluxMatrix(target_qubit, label, e) for label, e in zip(time_labels, entries, strict=True)]
 
 
 def solve_affine(outputs: dict[str, np.ndarray], target_qubit: int, time_label) -> FluxMatrix:

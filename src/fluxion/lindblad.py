@@ -202,7 +202,8 @@ def open_flux_trajectory(
 ) -> list[FluxMatrix]:
     """FluxMatrix at every time of an ascending grid, read from three evolved input units.
 
-    Each unit is integrated once over the whole grid.  Incoherent decay shows
+    Each unit is integrated once over the whole grid, and the target's blocks
+    of every time are read out as one stack.  Incoherent decay shows
     up in the identity column, which collects the input-independent drift of
     the target Bloch vector.
     """
@@ -211,12 +212,12 @@ def open_flux_trajectory(
     k0, k1 = input_kets(register, input_qubit)
     qubit_mask(n, target_qubit)  # rejects an out-of-range target before anything is integrated
     units = [np.outer(a, b.conj()) for a, b in ((k0, k0), (k1, k1), (k0, k1))]
-    fluxes = []
-    for t, rho00, rho11, coherence in zip(t_grid, *(_evolve(u, spec, n, t_grid) for u in units)):
-        r00, r11 = (_partial_trace(DensityMatrix(n, rho).entries, n, target_qubit) for rho in (rho00, rho11))
-        r01 = _partial_trace(coherence, n, target_qubit)
-        fluxes.append(flux_readout(r00, r11, r01, target_qubit, float(t)))
-    return fluxes
+    R = np.zeros((2, 2, 2, 2, t_grid.size), dtype=complex)  # R[a, b, i, j, k], as `flux_readout` reads it
+    for k, (rho00, rho11, coherence) in enumerate(zip(*(_evolve(u, spec, n, t_grid) for u in units))):
+        for a, rho in ((0, rho00), (1, rho11)):
+            R[a, a, ..., k] = _partial_trace(DensityMatrix(n, rho).entries, n, target_qubit)
+        R[0, 1, ..., k] = _partial_trace(coherence, n, target_qubit)
+    return flux_readout(R, target_qubit, t_grid.tolist())
 
 
 def open_flux_tomography(

@@ -1,5 +1,6 @@
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from fluxion.cli import (
     validate,
 )
 from fluxion.experiments import EXPERIMENTS, PARAM_SPECS, TableOutput
+from test_tracing_contract import load_tracing
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -228,6 +232,25 @@ def test_dense_sidecars_carry_eigensolve_cost(tmp_path):
             assert fh.readline().rstrip("\n") == columns
 
 
+def test_tracer_counts_rows_and_open_grid_span():
+    """The benchmark's tracer counts the rows of every output and reads open-flux's
+    grid span off its first column; on four shipped configs it reads 6 + 7 + (1201 + 200)
+    + 51 rows and a span of 5."""
+    tracing = load_tracing()
+    rec = tracing.Recorder()
+    installed = tracing.Installed(rec)
+    rec.run_id = "configs"
+    try:
+        for experiment in ("table1", "uqcm-prep-opt", "transfer-disorder", "open-flux"):
+            config = load_config(str(CONFIGS / f"{experiment}.ini"), experiment)
+            EXPERIMENTS[experiment](resolve(config), config.seed)
+    finally:
+        rec.run_id = None
+        installed.uninstall()
+    assert rec.counts["configs"]["cli.rows_written"] == 1465
+    assert rec.counts["configs"]["lindblad.grid_span"] == 5.0
+
+
 def test_main_exit_codes(tmp_path, capsys):
     good = write_config(
         tmp_path, "[run]\nexperiment = transfer-single\n\n[params]\nJt = 1.5\n"
@@ -407,11 +430,12 @@ _CHANGED_VALUES = {
 
 
 def _output_values(experiment, parameters):
-    """Every row cell, extra and summary item the experiment returns, in order."""
+    """Every table cell (column by column), extra and summary item the experiment returns, in order."""
     values = []
     for output in EXPERIMENTS[experiment](resolve(RunConfig(experiment, parameters)), 0):
         if isinstance(output, TableOutput):
-            values += [cell for row in output.rows for cell in row] + list(output.extra.values())
+            values += [cell for column in output.columns.values() for cell in column.tolist()]
+            values += list(output.extra.values())
         else:
             values += list(output.items.values())
     return values

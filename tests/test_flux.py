@@ -97,15 +97,21 @@ def test_readout_matches_closed_form_transfer():
     """An excitation-conserving transfer of amplitude f from the |0...0>
     register leaves the target in |0><0|, in (1 - p)|0><0| + p|1><1| with
     p = |f|^2, and in conj(f)|0><1| for the three input units; the read-out
-    of those blocks is the closed form `flux_components(f)`."""
+    of those blocks is the closed form `flux_components(f)`.  The 11
+    amplitudes are read out as one stack of 11 times."""
     rng = np.random.default_rng(29)
-    for f in [1.0 + 0j, -1j, 0j, *(rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform(size=8)))]:
-        p = abs(f) ** 2
-        r00 = np.diag([1.0, 0.0]).astype(complex)
-        r11 = np.diag([1.0 - p, p]).astype(complex)
-        r01 = np.array([[0.0, np.conj(f)], [0.0, 0.0]])
-        got = flux_readout(r00, r11, r01, 4, 0.5).entries
-        assert np.abs(got - flux_components(f, 4, 0.5).entries).max() <= 1e-15
+    f = np.array([1.0 + 0j, -1j, 0j, *(rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform(size=8)))])
+    p = np.abs(f) ** 2
+    R = np.zeros((2, 2, 2, 2, f.size), dtype=complex)  # R[a, b, i, j, k]
+    R[0, 0, 0, 0] = 1.0
+    R[1, 1, 0, 0], R[1, 1, 1, 1] = 1.0 - p, p
+    R[0, 1, 0, 1] = np.conj(f)
+    labels = [0.5 * k for k in range(f.size)]
+    got = flux_readout(R, 4, labels)
+    assert [fm.time_label for fm in got] == labels
+    for fk, fm, label in zip(f, got, labels):
+        assert fm.target_qubit == 4
+        assert np.abs(fm.entries - flux_components(fk, 4, label).entries).max() <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -119,7 +125,11 @@ def test_readout_rejects_nonreal_or_nonfinite_diagonal_units(b00, b11):
 
 def test_readout_tolerates_roundoff_but_not_a_non_hermitian_block():
     assert flux_columns(0.5 + 1e-11j, 0.25 - 1e-11j, 0.3 - 0.2j) == (0.3, -0.2, 0.125, 0.375)
-    # Tr YR of a non-Hermitian block is imaginary, so the dense and open read-outs reject it
-    leaky = np.array([[1.0, 0.1], [0.0, 0.0]], dtype=complex)
+    # Tr YR of a non-Hermitian block is imaginary, so the dense and open read-outs reject it,
+    # at whichever time of the stack it appears
+    R = np.zeros((2, 2, 2, 2, 3), dtype=complex)
+    R[0, 0, 0, 0] = R[1, 1, 1, 1] = 1.0
+    assert len(flux_readout(R, 1, [0.0, 1.0, 2.0])) == 3
+    R[0, 0, 0, 1, 2] = 0.1
     with pytest.raises(AssertionError, match="non-real"):
-        flux_readout(leaky, np.diag([0.0, 1.0]), np.zeros((2, 2)), 1, 0.0)
+        flux_readout(R, 1, [0.0, 1.0, 2.0])

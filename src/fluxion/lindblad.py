@@ -1,11 +1,9 @@
 """Markovian open-system evolution for small registers.
 
 Standard-form Lindblad generator with per-qubit amplitude damping (optionally
-thermal) and pure dephasing.  Density matrices are integrated directly with
-adaptive high-order stepping.  `_generator` builds the generator S once per
-spec and qubit count, as one sparse CSR matrix on the row-major vec(rho),
-caches it on the spec and returns it; every integration's right-hand side is
-the one sparse product S @ y.  S is a sum of 2n-qubit Pauli words, which
+thermal) and pure dephasing.  `_generator` builds the generator S once per
+spec and qubit count, as one sparse CSR matrix on the row-major vec(rho), and
+caches it on the spec.  S is a sum of 2n-qubit Pauli words, which
 `_generator_pieces` lists and `pauli._terms_sparse` sums into COO triplets
 with no stored zero, as for every other operator matrix; `_generator`'s
 `csr_array` is the package's one `scipy.sparse` call, so no other engine
@@ -14,17 +12,20 @@ in tests/oracles.py, builds all its pieces independently from 2x2 matrices.
 `_partial_trace` is the one partial trace of a density matrix.
 
 Every entry point runs through `_evolve`, which integrates each interval of an
-ascending grid of finite times t >= 0 once.  `open_flux_trajectory` reads the
-flux at every grid time from three evolved operator units of the input
-qubit, |0><0|, |1><1| and |0><1| (|1><0| is the adjoint of the evolved
-|0><1|); the two diagonal units pass the `DensityMatrix` checks at every
-time.  `open_flux_tomography` is its one-time case; four-input tomography
-(`flux.solve_affine`) is the test oracle.
+ascending grid of finite times t >= 0 once, by `solve_ivp`: fixed Taylor steps
+of exp(hS) whose number and order the infinity-norm of S certifies before the
+first product (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
+`open_flux_trajectory` reads the flux at every grid time from three evolved
+operator units of the input qubit, |0><0|, |1><1| and |0><1| (|1><0| is the
+adjoint of the evolved |0><1|); the two diagonal units pass the
+`DensityMatrix` checks at every time.  `open_flux_tomography` is its one-time
+case; four-input tomography (`flux.solve_affine`) is the test oracle.
 """
 
 from __future__ import annotations
 
-import gc
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,9 @@ OPEN_QUBIT_CAP = 8
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
-RTOL = 1e-10
-ATOL = 1e-12
+TAYLOR_STEP = 4.0  # every step has b h <= TAYLOR_STEP, b the infinity-norm of S
+TAYLOR_TOL = 1e-16  # bound on each step's truncation error, relative to the state's infinity-norm
+Integration = namedtuple("Integration", "y nfev")  # nfev counts the products with S
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -150,15 +152,26 @@ def _generator(spec: LindbladSpec, n: int):
     return generators[n]
 
 
-def solve_ivp(fun, t_span, y0, **options):
-    """`scipy.integrate.solve_ivp`, imported on the first call.
+def solve_ivp(S, t_span, y0, bound: float) -> Integration:
+    """y(t1) of y' = S y from y(t0) = y0, for a constant S of infinity-norm <= bound.
 
-    Only open evolution integrates, so `import fluxion` does not pay for
-    loading `scipy.integrate`.
+    ceil(bound (t1 - t0) / TAYLOR_STEP) equal steps h, each summing the Taylor series of exp(hS)
+    to the least order m whose remainder (bh)^{m+1}/(m+1)! e^{bh} is <= TAYLOR_TOL.
     """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(fun, t_span, y0, **options)
+    t0, t1 = t_span
+    steps = max(1, math.ceil(bound * (t1 - t0) / TAYLOR_STEP))
+    h = (t1 - t0) / steps
+    order = 0
+    while (bound * h) ** (order + 1) / math.factorial(order + 1) * math.exp(bound * h) > TAYLOR_TOL:
+        order += 1
+    y = y0
+    for _ in range(steps):
+        term, y = y, y.copy()
+        for k in range(1, order + 1):
+            term = S @ term
+            term *= h / k
+            y += term
+    return Integration(y, steps * order)
 
 
 def _evolve(entries: np.ndarray, spec: LindbladSpec, n: int, t_grid):
@@ -175,15 +188,12 @@ def _evolve(entries: np.ndarray, spec: LindbladSpec, n: int, t_grid):
     if not (np.diff(t_grid) >= 0).all():
         raise ValueError("time grid must be ascending")
     S = _generator(spec, n)
+    bound = float(abs(S).sum(axis=1).max())
     y = entries.ravel().astype(complex)
     start = 0.0
     for t in t_grid:
         if t > start:
-            sol = solve_ivp(lambda _, v: S @ v, (start, float(t)), y, method="DOP853", rtol=RTOL, atol=ATOL)
-            gc.collect(1)  # the finished solver is a reference cycle holding (16, 4^n) stage arrays
-            if not sol.success:
-                raise RuntimeError(f"density-matrix integration failed: {sol.message}")
-            y = sol.y[:, -1]
+            y = solve_ivp(S, (start, float(t)), y, bound).y
             start = float(t)
         yield y.reshape(entries.shape)
 
@@ -238,6 +248,8 @@ def expectation_trajectory(
     t_grid,
 ) -> np.ndarray:
     """Tr[obs rho(t)] on an ascending time grid starting at t >= 0."""
+    if obs.n_qubits != rho0.n_qubits:
+        raise ValueError(f"observable on {obs.n_qubits} qubits, state on {rho0.n_qubits}")
     M = obs.to_matrix()
     values = []
     for rho in _evolve(rho0.entries, spec, rho0.n_qubits, t_grid):

@@ -1,13 +1,14 @@
 """`import fluxion` loads numpy only; each run loads only what its engine calls.
 
-scipy.sparse (Lindblad generator) and scipy.integrate (open evolution) are
-each imported on the first call of the one layer that needs them; the
-preparation optimizer, the chain engine and the series cross-check (on the
-standard library's decimal) need numpy alone, so every CLI run but open-flux
-is spared their import.  Checked in fresh interpreters, because the test
-session itself has long since imported all of them; mpmath, a test-only
-dependency, must stay unloaded too.  The third-party modules the package
-imports anywhere must be exactly its declared runtime dependencies.
+scipy.sparse is imported on the first call of the Lindblad generator, the one
+layer that needs it; open evolution steps with that sparse matrix alone, so no
+run loads scipy.integrate or scipy.optimize.  The preparation optimizer, the
+chain engine and the series cross-check (on the standard library's decimal)
+need numpy alone, so every CLI run but open-flux is spared any scipy import.
+Checked in fresh interpreters, because the test session itself has long since
+imported all of them; mpmath, a test-only dependency, must stay unloaded too.
+The third-party modules the package imports anywhere must be exactly its
+declared runtime dependencies.
 """
 
 import ast
@@ -90,7 +91,7 @@ def test_small_runs_load_no_scipy_or_mpmath(experiment, tmp_path):
     assert _cli_run(experiment, tmp_path) == []
 
 
-def test_scipy_integrate_loads_on_first_use():
+def test_scipy_sparse_loads_on_first_use(tmp_path):
     out = _probe(
         """
         print(loaded())
@@ -101,7 +102,9 @@ def test_scipy_integrate_loads_on_first_use():
     )
     before, after = map(json.loads, out)
     assert before == []
-    assert "scipy.integrate" in after
+    for loaded in (after, _cli_run("open-flux", tmp_path)):
+        assert "scipy.sparse" in loaded
+        assert not {"scipy.integrate", "scipy.optimize"} & set(loaded)
 
 
 def test_third_party_imports_are_the_declared_dependencies():

@@ -317,15 +317,68 @@ def test_evolved_state_hermiticity_checked_before_symmetrizing(monkeypatch):
     original = lindblad.solve_ivp
 
     def drifting(*args, **kwargs):
-        sol = original(*args, **kwargs)
+        result = original(*args, **kwargs)
         drift = np.zeros((2, 2), dtype=complex)
         drift[0, 1], drift[1, 0] = 1e-6, -1e-6
-        sol.y[:, -1] += drift.ravel()
-        return sol
+        result.y[:] += drift.ravel()
+        return result
 
     monkeypatch.setattr(lindblad, "solve_ivp", drifting)
     with pytest.raises(ValueError, match="not Hermitian"):
         evolve_density(plus_density(), LindbladSpec(0.1, 0.05), 0.5)
+
+
+def test_taylor_steps_fixed_by_norm_bound(monkeypatch):
+    """One qubit at damping 1 and dephasing 1/4: every row of S sums to b = 1 in modulus.
+
+    t = 10 takes ceil(10 / 4) = 3 steps of bh = 10/3, and the least order m with
+    (bh)^{m+1}/(m+1)! e^{bh} <= 1e-16 is 30: 90 products, whatever the state.
+    """
+    products = []
+    original = lindblad.solve_ivp
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        products.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(lindblad, "solve_ivp", counted)
+    spec = LindbladSpec(1.0, 0.25)
+    evolve_density(plus_density(), spec, 10.0)
+    evolve_density(DensityMatrix.from_state(RegisterState.computational(1, 1)), spec, 10.0)
+    assert products == [90, 90]
+
+    class CountingMatrix:
+        def __init__(self, S):
+            self.S, self.products = S, 0
+
+        def __matmul__(self, v):
+            self.products += 1
+            return self.S @ v
+
+    S = CountingMatrix(lindblad._generator(spec, 1))
+    assert lindblad.solve_ivp(S, (0.0, 10.0), np.ones(4, complex), 1.0).nfev == S.products == 90
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n_bar", [0.0, 0.2])
+def test_trajectory_matches_generator_exponential(n, n_bar):
+    """Grid fluxes of a damped, dephased XY chain against four-input tomography on expm(S t)."""
+    h = SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(n, 1.0, 1.0))
+    spec = LindbladSpec(0.1, 0.05, n_bar, h)
+    register = RegisterState.computational(n - 1, 0)
+    S = superoperator(spec, n)
+    ts = np.linspace(0.0, 5.0, 11)
+    worst = 0.0
+    for t, fm in zip(ts, open_flux_trajectory(spec, ts, 1, register, n)):
+        outputs = {}
+        propagator_t = expm(S * t)
+        for key, amps in TOMOGRAPHY_INPUTS.items():
+            v = insert_qubit(register, amps, 1).amplitudes
+            rho = (propagator_t @ np.outer(v, v.conj()).ravel()).reshape(1 << n, 1 << n)
+            outputs[key] = BlochVector.of_reduced(_partial_trace(rho, n, n)).as_array()
+        worst = max(worst, np.abs(fm.entries - solve_affine(outputs, n, t).entries).max())
+    assert worst < 1e-13
 
 
 @pytest.mark.parametrize("bad", [0, 4])
@@ -357,6 +410,13 @@ def test_infinite_time_rejected_before_integration(integrations):
         open_flux_tomography(spec, np.inf, 1, RegisterState.empty(), 1)
     with pytest.raises(ValueError, match="finite"):
         open_flux_trajectory(spec, [0.5, np.inf], 1, RegisterState.empty(), 1)
+    assert integrations == []
+
+
+def test_observable_qubit_count_checked_before_integration(integrations):
+    rho0 = DensityMatrix.from_state(RegisterState.computational(2, 1))
+    with pytest.raises(ValueError, match="observable on 1 qubits, state on 2"):
+        expectation_trajectory(LindbladSpec(0.1, 0.05), PauliString.from_label(1, "Z1"), rho0, [0.0, 1.0])
     assert integrations == []
 
 

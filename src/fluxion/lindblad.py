@@ -5,16 +5,24 @@ thermal) and pure dephasing.  `_generator` builds the generator S once per
 spec and qubit count, as one sparse CSR matrix on the row-major vec(rho), and
 caches it on the spec.  S is a sum of 2n-qubit Pauli words, which
 `_generator_pieces` lists and `pauli._terms_sparse` sums into COO triplets
-with no stored zero, as for every other operator matrix; `_generator`'s
-`csr_array` is the package's one `scipy.sparse` call, so no other engine
-loads it.  The dense superoperator it is checked against, `superoperator`
-in tests/oracles.py, builds all its pieces independently from 2x2 matrices.
+with no stored zero, as for every other operator matrix.  The `csr_array`
+calls of `_generator` and `_reachable` are the package's only `scipy.sparse`
+use, so no other engine loads it.  The dense superoperator S is checked
+against, `superoperator` in tests/oracles.py, builds all its pieces
+independently from 2x2 matrices.
 `_partial_trace` is the one partial trace of a density matrix.
 
 Every entry point runs through `_evolve`, which integrates each interval of an
 ascending grid of finite times t >= 0 once, by `solve_ivp`: fixed Taylor steps
 of exp(hS) whose number and order the infinity-norm of S certifies before the
-first product (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
+first product (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  It integrates only
+the coordinates `_reachable` from the support of the initial operator: the
+closure of that support under S's stored pattern, on which S[rest, set] == 0,
+so every other coordinate stays exactly 0 and the restriction is exact.  No
+symmetry is named; the closure finds by itself that S conserves
+Delta = (ket excitations) - (bra excitations) (Buca & Prosen, New J. Phys.
+14, 073007 (2012)) and, at n_bar = 0, that the jumps only lower excitations.
+The restricted S and its own infinity-norm are cached on the spec with S.
 `open_flux_trajectory` reads the flux at every grid time from three evolved
 operator units of the input qubit, |0><0|, |1><1| and |0><1| (|1><0| is the
 adjoint of the evolved |0><1|); the two diagonal units pass the
@@ -111,7 +119,7 @@ def _sandwich(n: int, a, b, scale: complex = 1.0):
 
 
 def _generator_pieces(spec: LindbladSpec, n: int):
-    """COO triplets of S from its 2n-qubit words; words with a zero coefficient are left out.
+    """COO triplets of S from its 2n-qubit words, each word's coefficients summed and zero sums left out.
 
     The jumps per qubit are sigma- = (X + iY)/2, sigma+ = (X - iY)/2 and Z,
     scaled by the square roots of their rates; H and K are Hermitian, so rho H = rho H^dag.
@@ -134,7 +142,12 @@ def _generator_pieces(spec: LindbladSpec, n: int):
     words += _sandwich(n, K, eye, -0.5) + _sandwich(n, eye, K, -0.5)
     for L in jumps:
         words += _sandwich(n, L, L)
-    return _terms_sparse(2 * n, [w for w in words if w[2] != 0])
+    # the lowering and raising jumps write the same words; summed entry by entry instead of
+    # word by word, their cancelling parts would leave roundoff entries in S
+    merged: dict[tuple[int, int], complex] = {}
+    for x, z, c in words:
+        merged[x, z] = merged.get((x, z), 0) + c
+    return _terms_sparse(2 * n, [(x, z, c) for (x, z), c in merged.items() if c != 0])
 
 
 def _generator(spec: LindbladSpec, n: int):
@@ -174,11 +187,43 @@ def solve_ivp(S, t_span, y0, bound: float) -> Integration:
     return Integration(y, steps * order)
 
 
+def _reachable(spec: LindbladSpec, n: int, support: np.ndarray):
+    """(coordinates, S on them, its infinity-norm) for the closure of `support` under S's pattern.
+
+    The closure is the least set of vec(rho) coordinates holding every row in
+    which a column of the set stores an entry, so S[rest, set] == 0 and an
+    operator supported on the set stays on it.  Cached on the frozen spec,
+    like the generator, by qubit count and support.
+    """
+    blocks = vars(spec).setdefault("_blocks", {})
+    key = (n, support.tobytes())
+    if key not in blocks:
+        S = _generator(spec, n)
+        rows = np.repeat(np.arange(S.shape[0], dtype=S.indices.dtype), np.diff(S.indptr))
+        reached = np.zeros(S.shape[0], dtype=bool)
+        reached[support] = True
+        while not reached[hit := rows[reached[S.indices]]].all():
+            reached[hit] = True
+        keep = reached[S.indices]  # an entry's row is reached whenever its column is
+        coords = np.flatnonzero(reached)
+        position = np.zeros(S.shape[0], dtype=S.indices.dtype)
+        position[coords] = np.arange(coords.size, dtype=S.indices.dtype)
+        r, c, v = position[rows[keep]], position[S.indices[keep]], S.data[keep]
+        from scipy import sparse
+
+        block = sparse.csr_array((v, (r, c)), shape=(coords.size,) * 2)
+        bound = float(np.bincount(r, np.abs(v), coords.size).max(initial=0.0))
+        blocks[key] = coords, block, bound
+    return blocks[key]
+
+
 def _evolve(entries: np.ndarray, spec: LindbladSpec, n: int, t_grid):
     """Yields the operator `entries`, given at t = 0, at every time of an ascending grid.
 
-    Each interval between consecutive grid times is integrated once, from the
-    state at the end of the previous one.
+    Only the coordinates `_reachable` from the support of `entries` are
+    integrated; every other one stays exactly 0.  Each interval between
+    consecutive grid times is integrated once, from the state at the end of
+    the previous one.
     """
     if n > OPEN_QUBIT_CAP:
         raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
@@ -187,15 +232,17 @@ def _evolve(entries: np.ndarray, spec: LindbladSpec, n: int, t_grid):
         raise ValueError("times must be finite and >= 0")
     if not (np.diff(t_grid) >= 0).all():
         raise ValueError("time grid must be ascending")
-    S = _generator(spec, n)
-    bound = float(abs(S).sum(axis=1).max())
-    y = entries.ravel().astype(complex)
+    flat = entries.ravel()
+    coords, S, bound = _reachable(spec, n, np.flatnonzero(flat))
+    y = flat[coords].astype(complex)
     start = 0.0
     for t in t_grid:
         if t > start:
             y = solve_ivp(S, (start, float(t)), y, bound).y
             start = float(t)
-        yield y.reshape(entries.shape)
+        rho = np.zeros(flat.size, dtype=complex)
+        rho[coords] = y
+        yield rho.reshape(entries.shape)
 
 
 def evolve_density(rho0: DensityMatrix, spec: LindbladSpec, t: float) -> DensityMatrix:

@@ -1,10 +1,12 @@
 """`import fluxion` loads numpy only; each run loads only what its engine calls.
 
 scipy.sparse is imported on the first call of the Lindblad generator, the one
-layer that needs it; open evolution steps with that sparse matrix alone, so no
-run loads scipy.integrate or scipy.optimize.  The preparation optimizer, the
-chain engine and the series cross-check (on the standard library's decimal)
-need numpy alone, so every CLI run but open-flux is spared any scipy import.
+layer that needs it; open evolution finds its reachable coordinates with numpy
+and steps with sparse matrices alone, so no run loads scipy.integrate,
+scipy.optimize, scipy.linalg, scipy.sparse.linalg or scipy.sparse.csgraph.  The
+preparation optimizer, the chain engine and the series cross-check (on the
+standard library's decimal) need numpy alone, so every CLI run but open-flux is
+spared any scipy import.
 Checked in fresh interpreters, because the test session itself has long since
 imported all of them; mpmath, a test-only dependency, must stay unloaded too.
 The third-party modules the package imports anywhere must be exactly its
@@ -104,7 +106,8 @@ def test_scipy_sparse_loads_on_first_use(tmp_path):
     assert before == []
     for loaded in (after, _cli_run("open-flux", tmp_path)):
         assert "scipy.sparse" in loaded
-        assert not {"scipy.integrate", "scipy.optimize"} & set(loaded)
+        assert not {"scipy.integrate", "scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse.linalg",
+                    "scipy.linalg"} & set(loaded)
 
 
 def test_third_party_imports_are_the_declared_dependencies():

@@ -22,6 +22,7 @@ from fluxion.states import (
     TOMOGRAPHY_INPUTS,
     BlochVector,
     RegisterState,
+    input_kets,
     insert_qubit,
     psi_plus_state,
     reduced_qubit,
@@ -328,6 +329,17 @@ def test_evolved_state_hermiticity_checked_before_symmetrizing(monkeypatch):
         evolve_density(plus_density(), LindbladSpec(0.1, 0.05), 0.5)
 
 
+class CountingMatrix:
+    """A stand-in for S that counts its products with vectors."""
+
+    def __init__(self, S):
+        self.S, self.products = S, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.S @ v
+
+
 def test_taylor_steps_fixed_by_norm_bound(monkeypatch):
     """One qubit at damping 1 and dephasing 1/4: every row of S sums to b = 1 in modulus.
 
@@ -347,14 +359,6 @@ def test_taylor_steps_fixed_by_norm_bound(monkeypatch):
     evolve_density(plus_density(), spec, 10.0)
     evolve_density(DensityMatrix.from_state(RegisterState.computational(1, 1)), spec, 10.0)
     assert products == [90, 90]
-
-    class CountingMatrix:
-        def __init__(self, S):
-            self.S, self.products = S, 0
-
-        def __matmul__(self, v):
-            self.products += 1
-            return self.S @ v
 
     S = CountingMatrix(lindblad._generator(spec, 1))
     assert lindblad.solve_ivp(S, (0.0, 10.0), np.ones(4, complex), 1.0).nfev == S.products == 90
@@ -516,3 +520,76 @@ def test_thermal_chain_trajectory_matches_exponential():
             vecs[key] = step @ vec
         worst = max(worst, np.abs(fm.entries - solve_affine(outputs, n, t).entries).max())
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("n_bar", [0.0, 0.2])
+def test_generator_entries_conserve_excitation_difference(n_bar):
+    """No stored entry of S joins coordinates of different Delta = (ket excitations) - (bra excitations).
+
+    Every term of S conserves Delta (the weak U(1) symmetry of Buca & Prosen,
+    New J. Phys. 14, 073007 (2012)).  The lowering and raising jumps write the
+    same words; summed entry by entry rather than word by word, their
+    Delta-changing parts left roundoff entries in S that the reachable sets
+    then had to follow.
+    """
+    rng = np.random.default_rng(28)
+    for n in range(1, 6):
+        excitations = np.array([k.bit_count() for k in range(1 << n)])
+        delta = np.subtract.outer(excitations, excitations).ravel()
+        for _ in range(6):
+            h = SpinHamiltonian.xy_chain(CouplingProfile(n, rng.uniform(-1.5, 1.5, n - 1))) if n > 1 else None
+            spec = LindbladSpec(*(rate * rng.uniform(0.95, 1.05) for rate in (0.1, 0.05, n_bar)), h)
+            S = lindblad._generator(spec, n).tocoo()
+            assert (delta[S.row] == delta[S.col]).all()
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n_bar", [0.0, 0.2])
+def test_reachable_sets_closed_and_exact(monkeypatch, n, n_bar):
+    """Each unit's set is closed under the full S, and the flux equals a full-space integration."""
+    spec = LindbladSpec(0.1, 0.05, n_bar, SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(n, 1.0, 1.0)))
+    register = RegisterState.computational(n - 1, 0)
+    S = lindblad._generator(spec, n)
+    stored = S.tocoo()
+    k0, k1 = input_kets(register, 1)
+    for a, b in ((k0, k0), (k1, k1), (k0, k1)):  # the units |0><0|, |1><1| and |0><1|
+        support = np.flatnonzero(np.outer(a, b.conj()))
+        coords, block, bound = lindblad._reachable(spec, n, support)
+        inside = np.zeros(S.shape[0], dtype=bool)
+        inside[coords] = True
+        assert inside[support].all()
+        assert not (inside[stored.col] & ~inside[stored.row]).any()  # S[rest, set] == 0
+        assert np.array_equal(block.toarray(), S[coords][:, coords].toarray())
+        assert bound == pytest.approx(np.abs(block.toarray()).sum(axis=1).max(), rel=1e-14)
+    ts = np.linspace(0.0, 5.0, 11)
+    reduced = open_flux_trajectory(spec, ts, 1, register, n)
+
+    def full_space(spec, n, support):
+        return np.arange(S.shape[0]), S, float(abs(S).sum(axis=1).max())
+
+    monkeypatch.setattr(lindblad, "_reachable", full_space)
+    full = open_flux_trajectory(spec, ts, 1, register, n)
+    assert max(np.abs(a.entries - b.entries).max() for a, b in zip(reduced, full)) < 1e-12
+
+
+def test_reachable_sets_fix_the_products(monkeypatch):
+    """5 qubits at n_bar = 0, damping 0.1 and dephasing 0.05, integrated to t = 5.
+
+    The |0><0| unit of a |0...0> register is a column of S with no stored
+    entry: one coordinate and no product.  |1><1| reaches the 25 one-excitation
+    |j><k| and |0...0><0...0|, with b = 4.3: 6 steps of order 31.  |0><1|
+    reaches the 5 |0...0><j|, with b = 2.15: 3 steps of order 31.  The full
+    space has 1024 coordinates and b = 8.75, 363 products per unit.
+    """
+    seen = []
+    original = lindblad._reachable
+
+    def counted(*args):
+        coords, S, bound = original(*args)
+        seen.append((coords.size, CountingMatrix(S)))
+        return coords, seen[-1][1], bound
+
+    monkeypatch.setattr(lindblad, "_reachable", counted)
+    spec = LindbladSpec(0.1, 0.05, 0.0, SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(5, 1.0, 1.0)))
+    open_flux_tomography(spec, 5.0, 1, RegisterState.computational(4, 0), 5)
+    assert [(size, S.products) for size, S in seen] == [(1, 0), (26, 186), (5, 93)]

@@ -6,28 +6,35 @@ spec and qubit count, as one sparse CSR matrix on the row-major vec(rho), and
 caches it on the spec.  S is a sum of 2n-qubit Pauli words, which
 `_generator_pieces` lists and `pauli._terms_sparse` sums into COO triplets
 with no stored zero, as for every other operator matrix.  The `csr_array`
-calls of `_generator` and `_reachable` are the package's only `scipy.sparse`
-use, so no other engine loads it.  The dense superoperator S is checked
-against, `superoperator` in tests/oracles.py, builds all its pieces
-independently from 2x2 matrices.
+calls of `_generator` and `_reachable` and the CSR kernel of `solve_ivp` are
+the package's only `scipy.sparse` use, so no other engine loads it.  The
+dense superoperator S is checked against, `superoperator` in
+tests/oracles.py, builds all its pieces independently from 2x2 matrices.
 `_partial_trace` is the one partial trace of a density matrix.
 
 Every entry point runs through `_evolve`, which integrates each interval of an
 ascending grid of finite times t >= 0 once, by `solve_ivp`: fixed Taylor steps
 of exp(hS) whose number and order the infinity-norm of S certifies before the
-first product (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  It integrates only
-the coordinates `_reachable` from the support of the initial operator: the
-closure of that support under S's stored pattern, on which S[rest, set] == 0,
-so every other coordinate stays exactly 0 and the restriction is exact.  No
-symmetry is named; the closure finds by itself that S conserves
-Delta = (ket excitations) - (bra excitations) (Buca & Prosen, New J. Phys.
-14, 073007 (2012)) and, at n_bar = 0, that the jumps only lower excitations.
-The restricted S and its own infinity-norm are cached on the spec with S.
+first product (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  Each step is
+evaluated in Horner form, of order at most 33 since bh <= TAYLOR_STEP, and
+each of its products is one call of `scipy.sparse._sparsetools.csr_matvec`,
+the kernel behind `S @ v`, adding S v into a preallocated buffer.  That kernel
+is private: tests/test_lindblad.py pins what it does.  It exists at the
+`scipy>=1.13` floor, but the tests have only been run on scipy 1.17.
+`_evolve` integrates only the coordinates `_reachable` from the support of the
+initial operator: the closure of that support under S's stored pattern, on
+which S[rest, set] == 0, so every other coordinate stays exactly 0 and the
+restriction is exact.  No symmetry is named; the closure finds by itself that
+S conserves Delta = (ket excitations) - (bra excitations) (Buca & Prosen, New
+J. Phys. 14, 073007 (2012)) and, at n_bar = 0, that the jumps only lower
+excitations.  The restricted S and its own infinity-norm are cached on the
+spec with S, one entry per set, shared by every support that closes onto it.
 `open_flux_trajectory` reads the flux at every grid time from three evolved
 operator units of the input qubit, |0><0|, |1><1| and |0><1| (|1><0| is the
 adjoint of the evolved |0><1|); the two diagonal units pass the
-`DensityMatrix` checks at every time.  `open_flux_tomography` is its one-time
-case; four-input tomography (`flux.solve_affine`) is the test oracle.
+`DensityMatrix` checks at every time, whose eigenvalues are taken only on the
+kets the unit touches.  `open_flux_tomography` is its one-time case;
+four-input tomography (`flux.solve_affine`) is the test oracle.
 """
 
 from __future__ import annotations
@@ -68,7 +75,8 @@ class DensityMatrix:
         trace = np.trace(arr)
         if not (abs(trace.real - 1.0) <= TRACE_TOL and abs(trace.imag) <= TRACE_TOL):
             raise ValueError(f"trace {trace} is not 1")
-        if not (np.linalg.eigvalsh(arr).min() >= -POSITIVITY_TOL):
+        live = arr.any(axis=1)  # the other rows and columns are 0, and so are their eigenvalues
+        if not (np.linalg.eigvalsh(arr[live][:, live]).min() >= -POSITIVITY_TOL):
             raise ValueError("matrix has a significantly negative eigenvalue")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -166,24 +174,39 @@ def _generator(spec: LindbladSpec, n: int):
 
 
 def solve_ivp(S, t_span, y0, bound: float) -> Integration:
-    """y(t1) of y' = S y from y(t0) = y0, for a constant S of infinity-norm <= bound.
+    """y(t1) of y' = S y from y(t0) = y0, for a constant CSR S of infinity-norm <= bound.
 
     ceil(bound (t1 - t0) / TAYLOR_STEP) equal steps h, each summing the Taylor series of exp(hS)
     to the least order m whose remainder (bh)^{m+1}/(m+1)! e^{bh} is <= TAYLOR_TOL.
+    The sum is Horner's w_k = y + (A/k) w_{k+1}, A = hS, from w_{m+1} = y to exp(A) y ~ w_1,
+    carried as v_k = m!/(k-1)! w_k: v_k = (m!/(k-1)!) y + A v_{k+1}, so each stage is one
+    buffer write and one call of scipy's `csr_matvec` kernel, which adds A v_{k+1} into that
+    buffer, and the step ends with w_1 = v_1 / m!.  As bh <= TAYLOR_STEP, m <= 33 and every
+    constant is at most 33! ~ 8.7e36, far from overflow.
     """
+    from scipy.sparse import _sparsetools
+
     t0, t1 = t_span
     steps = max(1, math.ceil(bound * (t1 - t0) / TAYLOR_STEP))
     h = (t1 - t0) / steps
     order = 0
     while (bound * h) ** (order + 1) / math.factorial(order + 1) * math.exp(bound * h) > TAYLOR_TOL:
         order += 1
-    y = y0
+    hS = S.data * h
+    y = y0.astype(complex)
+    matvec, d, indptr, indices = _sparsetools.csr_matvec, y.size, S.indptr, S.indices
+    buffers = np.empty_like(y), np.empty_like(y)
+    stages, scale = [], 1
+    for k in range(order, 0, -1):  # (m!/(k-1)!, the buffer of v_k), alternating between the two
+        scale *= k
+        stages.append((float(scale), buffers[k & 1]))
     for _ in range(steps):
-        term, y = y, y.copy()
-        for k in range(1, order + 1):
-            term = S @ term
-            term *= h / k
-            y += term
+        v = y
+        for c, buf in stages:
+            np.multiply(y, c, out=buf)
+            matvec(d, d, indptr, indices, hS, v, buf)
+            v = buf
+        np.divide(v, float(scale), out=y)
     return Integration(y, steps * order)
 
 
@@ -192,28 +215,41 @@ def _reachable(spec: LindbladSpec, n: int, support: np.ndarray):
 
     The closure is the least set of vec(rho) coordinates holding every row in
     which a column of the set stores an entry, so S[rest, set] == 0 and an
-    operator supported on the set stays on it.  Cached on the frozen spec,
-    like the generator, by qubit count and support.
+    operator supported on the set stays on it.  A support inside a set already
+    found is closed on that set's block, whose pattern is S's on the set,
+    rather than on the whole of S.  Cached on the frozen spec, like the
+    generator, by qubit count and support; supports that close onto the same
+    set share one entry.
     """
-    blocks = vars(spec).setdefault("_blocks", {})
+    blocks = vars(spec).setdefault("_blocks", {})  # (n, support) -> (coords, block, bound)
+    sets = vars(spec).setdefault("_sets", {}).setdefault(n, {})  # coords -> the same entries, one per set
     key = (n, support.tobytes())
     if key not in blocks:
-        S = _generator(spec, n)
+        outer, S, start = None, _generator(spec, n), support
+        for coords, block, _ in sets.values():
+            position = np.zeros(S.shape[0], dtype=block.indices.dtype)
+            position[coords] = np.arange(1, coords.size + 1, dtype=block.indices.dtype)
+            if position[support].all():  # every coordinate of the support is in this closed set
+                outer, S, start = coords, block, position[support] - 1
+                break
         rows = np.repeat(np.arange(S.shape[0], dtype=S.indices.dtype), np.diff(S.indptr))
         reached = np.zeros(S.shape[0], dtype=bool)
-        reached[support] = True
+        reached[start] = True
         while not reached[hit := rows[reached[S.indices]]].all():
             reached[hit] = True
-        keep = reached[S.indices]  # an entry's row is reached whenever its column is
-        coords = np.flatnonzero(reached)
-        position = np.zeros(S.shape[0], dtype=S.indices.dtype)
-        position[coords] = np.arange(coords.size, dtype=S.indices.dtype)
-        r, c, v = position[rows[keep]], position[S.indices[keep]], S.data[keep]
-        from scipy import sparse
+        inner = np.flatnonzero(reached)
+        coords = inner if outer is None else outer[inner]
+        if coords.tobytes() not in sets:
+            keep = reached[S.indices]  # an entry's row is reached whenever its column is
+            position = np.zeros(S.shape[0], dtype=S.indices.dtype)
+            position[inner] = np.arange(inner.size, dtype=S.indices.dtype)
+            r, c, v = position[rows[keep]], position[S.indices[keep]], S.data[keep]
+            from scipy import sparse
 
-        block = sparse.csr_array((v, (r, c)), shape=(coords.size,) * 2)
-        bound = float(np.bincount(r, np.abs(v), coords.size).max(initial=0.0))
-        blocks[key] = coords, block, bound
+            block = sparse.csr_array((v, (r, c)), shape=(inner.size,) * 2)
+            bound = float(np.bincount(r, np.abs(v), inner.size).max(initial=0.0))
+            sets[coords.tobytes()] = coords, block, bound
+        blocks[key] = sets[coords.tobytes()]
     return blocks[key]
 
 

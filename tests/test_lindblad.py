@@ -1,8 +1,13 @@
+import collections
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse import _sparsetools
 
 import fluxion.lindblad as lindblad
 from fluxion.chain import CouplingProfile, flux_components, transfer_amplitude
@@ -48,6 +53,22 @@ def test_density_matrix_validation():
     rho = DensityMatrix.from_state(psi_plus_state())
     assert purity(rho) == pytest.approx(1.0)
     assert np.abs(_partial_trace(rho.entries, 2, 1) - np.eye(2) / 2).max() < 1e-12
+
+
+def test_density_checks_see_past_the_live_block():
+    """Eigenvalues are taken on the kets with a nonzero row, Hermiticity on the whole matrix."""
+    arr = np.zeros((8, 8), dtype=complex)
+    arr[np.ix_([2, 5], [2, 5])] = [[0.5, 0.6], [0.6, 0.5]]  # eigenvalues 1.1 and -0.1
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(3, arr)
+    arr[2, 5] = arr[5, 2] = 0.4
+    assert np.array_equal(DensityMatrix(3, arr).entries, arr)
+    for i, j, drift in ((2, 5, -1e-6), (2, 7, 0.0)):  # anti-Hermitian, and into a ket whose row stays 0
+        bad = arr.copy()
+        bad[i, j] += 1e-6
+        bad[j, i] += drift
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(3, bad)
 
 
 def test_spec_validation():
@@ -329,18 +350,21 @@ def test_evolved_state_hermiticity_checked_before_symmetrizing(monkeypatch):
         evolve_density(plus_density(), LindbladSpec(0.1, 0.05), 0.5)
 
 
-class CountingMatrix:
-    """A stand-in for S that counts its products with vectors."""
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls of scipy's `csr_matvec` by block size: each product `solve_ivp` takes with S is one call."""
+    calls = collections.Counter()
+    original = _sparsetools.csr_matvec
 
-    def __init__(self, S):
-        self.S, self.products = S, 0
+    def counted(n_row, *args):
+        calls[n_row] += 1
+        return original(n_row, *args)
 
-    def __matmul__(self, v):
-        self.products += 1
-        return self.S @ v
+    monkeypatch.setattr(_sparsetools, "csr_matvec", counted)
+    return calls
 
 
-def test_taylor_steps_fixed_by_norm_bound(monkeypatch):
+def test_taylor_steps_fixed_by_norm_bound(monkeypatch, kernel_calls):
     """One qubit at damping 1 and dephasing 1/4: every row of S sums to b = 1 in modulus.
 
     t = 10 takes ceil(10 / 4) = 3 steps of bh = 10/3, and the least order m with
@@ -359,9 +383,78 @@ def test_taylor_steps_fixed_by_norm_bound(monkeypatch):
     evolve_density(plus_density(), spec, 10.0)
     evolve_density(DensityMatrix.from_state(RegisterState.computational(1, 1)), spec, 10.0)
     assert products == [90, 90]
+    assert kernel_calls == {4: 90, 2: 90}  # |+><+| reaches all of vec(rho), |1><1| only itself and |0><0|
 
-    S = CountingMatrix(lindblad._generator(spec, 1))
-    assert lindblad.solve_ivp(S, (0.0, 10.0), np.ones(4, complex), 1.0).nfev == S.products == 90
+    kernel_calls.clear()
+    S = lindblad._generator(spec, 1)
+    assert original(S, (0.0, 10.0), np.ones(4, complex), 1.0).nfev == kernel_calls[4] == 90
+
+
+def random_csr_arrays(rng, d, index):
+    """(indptr, indices, data) of a complex d x d CSR block: rows past d // 2 empty, entries doubled."""
+    half = d * d // 4 + 1
+    rows = np.repeat(rng.integers(0, d // 2 + 1, half), 2)
+    cols = np.repeat(rng.integers(0, d, half), 2)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(d + 1)).astype(index)
+    data = rng.normal(size=2 * half) + 1j * rng.normal(size=2 * half)
+    return indptr, cols[order].astype(index), data
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+def test_csr_kernel_adds_the_product_into_its_buffer(index):
+    """`solve_ivp` rests on scipy's private `csr_matvec(n_row, n_col, indptr, indices, data, x, y)`,
+    which adds S x into y; a release that renames it or changes what it does fails here.
+
+    Random blocks with duplicate entries and empty rows, and a 1 x 1 block with no entry.
+    """
+    rng = np.random.default_rng(30)
+    blocks = [(1, np.zeros(2, index), np.zeros(0, index), np.zeros(0, complex))]
+    blocks += [(d, *random_csr_arrays(rng, d, index)) for d in (2, 7, 40)]
+    for d, indptr, indices, data in blocks:
+        S = sparse.csr_array((data, indices, indptr), shape=(d, d))
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        out = np.zeros(d, complex)
+        _sparsetools.csr_matvec(d, d, indptr, indices, data, x, out)
+        assert out.tobytes() == (S @ x).tobytes()
+        start = rng.normal(size=d) + 1j * rng.normal(size=d)
+        out = start.copy()
+        _sparsetools.csr_matvec(d, d, indptr, indices, data, x, out)
+        assert np.abs(out - (start + S @ x)).max() <= 1e-13
+
+
+def forward_taylor(S, t, y, steps, order):
+    """The same steps and order as `solve_ivp`, summed term by term with `S @`."""
+    h = t / steps
+    for _ in range(steps):
+        term = y
+        for k in range(1, order + 1):
+            term = S @ term * (h / k)
+            y = y + term
+    return y
+
+
+def test_horner_steps_match_forward_taylor_sum():
+    """On reachable blocks of damped, dephased, thermal XY chains, at bh up to TAYLOR_STEP.
+
+    The two sums round differently: relative to the state they read up to 2.4e-15 apart
+    here (the 2-coordinate block at bh = 4), and each lies within 2.1e-15 of `expm` on
+    random one-step cases, so 1e-14 bounds their rounding, not a truncation.  At
+    bh = TAYLOR_STEP the order is 33, the largest `solve_ivp` takes.
+    """
+    S = lindblad._generator(LindbladSpec(1.0, 0.25), 1)
+    assert lindblad.solve_ivp(S, (0.0, lindblad.TAYLOR_STEP), np.ones(4, complex), 1.0).nfev == 33
+    rng = np.random.default_rng(30)
+    for n in (1, 3, 4):
+        h = SpinHamiltonian.xy_chain(CouplingProfile(n, rng.uniform(-1.5, 1.5, n - 1))) if n > 1 else None
+        spec = LindbladSpec(0.3, 0.1, 0.2, h)
+        _, S, bound = lindblad._reachable(spec, n, np.array([1 << n | 1]))  # the unit |0...01><0...01|
+        for t in (0.3, lindblad.TAYLOR_STEP / bound, 10.0):
+            y = rng.normal(size=S.shape[0]) + 1j * rng.normal(size=S.shape[0])
+            result = lindblad.solve_ivp(S, (0.0, t), y, bound)
+            steps = max(1, math.ceil(bound * t / lindblad.TAYLOR_STEP))
+            expected = forward_taylor(S, t, y, steps, result.nfev // steps)
+            assert np.abs(result.y - expected).max() <= 1e-14 * np.abs(y).max()
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -572,7 +665,7 @@ def test_reachable_sets_closed_and_exact(monkeypatch, n, n_bar):
     assert max(np.abs(a.entries - b.entries).max() for a, b in zip(reduced, full)) < 1e-12
 
 
-def test_reachable_sets_fix_the_products(monkeypatch):
+def test_reachable_sets_fix_the_products(monkeypatch, kernel_calls):
     """5 qubits at n_bar = 0, damping 0.1 and dephasing 0.05, integrated to t = 5.
 
     The |0><0| unit of a |0...0> register is a column of S with no stored
@@ -581,15 +674,40 @@ def test_reachable_sets_fix_the_products(monkeypatch):
     reaches the 5 |0...0><j|, with b = 2.15: 3 steps of order 31.  The full
     space has 1024 coordinates and b = 8.75, 363 products per unit.
     """
-    seen = []
+    sizes = []
     original = lindblad._reachable
 
-    def counted(*args):
-        coords, S, bound = original(*args)
-        seen.append((coords.size, CountingMatrix(S)))
-        return coords, seen[-1][1], bound
+    def recorded(*args):
+        entry = original(*args)
+        sizes.append(entry[0].size)
+        return entry
 
-    monkeypatch.setattr(lindblad, "_reachable", counted)
+    monkeypatch.setattr(lindblad, "_reachable", recorded)
     spec = LindbladSpec(0.1, 0.05, 0.0, SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(5, 1.0, 1.0)))
     open_flux_tomography(spec, 5.0, 1, RegisterState.computational(4, 0), 5)
-    assert [(size, S.products) for size, S in seen] == [(1, 0), (26, 186), (5, 93)]
+    assert sizes == [1, 26, 5]
+    assert kernel_calls == {26: 186, 5: 93}
+
+
+def test_units_closing_onto_one_set_share_its_block(monkeypatch, kernel_calls):
+    """5 qubits at n_bar = 0.2: |0><0| and |1><1| of a |0...0> register both close onto the
+    252 coordinates of Delta = 0, and |0><1| onto the 210 of Delta = -1.
+
+    |1><1| lies inside the set |0><0| closed first, so it is closed on that set's block and gets
+    the very same entry; the products are those of integrating each unit on its own set.
+    """
+    entries = []
+    original = lindblad._reachable
+
+    def recorded(*args):
+        entries.append(original(*args))
+        return entries[-1]
+
+    monkeypatch.setattr(lindblad, "_reachable", recorded)
+    spec = LindbladSpec(0.1, 0.05, 0.2, SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(5, 1.0, 1.0)))
+    open_flux_tomography(spec, 5.0, 1, RegisterState.computational(4, 0), 5)
+    (c00, S00, _), (c11, S11, _), (c01, _, _) = entries
+    assert (c00.size, c11.size, c01.size) == (252, 252, 210)
+    assert S11 is S00
+    assert kernel_calls == {252: 2 * 363, 210: 384}
+

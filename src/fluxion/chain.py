@@ -1,21 +1,21 @@
 """State transfer through open XY chains in the single-excitation sector.
 
-The production path solves the tridiagonal hopping matrix M from a block of
-half its size.  M has zero diagonal (every CouplingProfile has no on-site
-terms), so the chain is bipartite: M only couples the sites of the far
-end's parity to the others, through a bidiagonal block C.  The thin SVD of
-C gives the spectrum of M as exact +-sigma pairs and each propagator
-element from the far end as a real cosine sum or an imaginary sine sum over
-sigma, by the parity of the site distance: the end-to-end amplitude f(t) is
-real for odd N and imaginary for even N.  Both sums are the real and
-imaginary parts of one complex phase sum.  On a grid of K >= 64 times,
-write t_k = a_b + c_m + r_k with block starts a_b = t_0 + b B dt, offsets
-c_m = m dt and B = ceil(sqrt K).  The grid counts as uniform when the
-residual phases stay small, |sigma|max |r|max <= 1e-9: then every
-e^{i sigma t_k} is one entry of each of two phase tables times
-1 + i sigma r_k, to within (sigma r)^2 / 2, and the tables take O(sqrt K)
-exponentials per mode instead of K.  Other grids take B = 1, one
-exponential per time.
+The production path expands the propagator in Chebyshev polynomials of the
+tridiagonal hopping matrix M (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967
+(1984)): by Jacobi-Anger, exp(-iMt) = sum_k (2 - delta_k0) (-i)^k J_k(alpha t)
+T_k(M / alpha) for any alpha >= ||M||, here the largest row sum of |M|.  Only
+the column from the far end is needed, so the moments <i|T_k(M / alpha)|N>
+come from a three-term recurrence of tridiagonal products, O(K n) work per
+profile for K of order alpha max|t|, with no eigenvectors.  M has zero
+diagonal (every CouplingProfile has no on-site terms), so the chain is
+bipartite: a moment vanishes unless k has the parity of the site distance d
+and k >= d, and each propagator element from the far end is a real sum or
+-1j times one, by the parity of d: the end-to-end amplitude f(t) is real for
+odd N and imaginary for even N.  The Bessel values J_k(alpha t) come from
+Miller's backward recurrence in numpy, one table for a whole batch of
+profiles, and the order K is fixed before the first product by DLMF 10.14.7's
+bound on the series' tail.  Uniform and non-uniform grids, single times and
+negative times all take this one path.
 
 The power series evaluator reproduces the same coefficients as a
 cross-check, with explicit truncation accounting: it streams one vector of
@@ -111,108 +111,184 @@ class DisorderSpec:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-def eigh_tridiagonal(couplings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Modes of the zero-diagonal tridiagonal M with off-diagonal `couplings`.
+CHEBYSHEV_TOL = 1e-16  # bound on the dropped tail 2 sum_{k>K} |J_k(alpha t)| of the Chebyshev series
+MILLER_TOL = 1e-30  # Bessel orders whose DLMF 10.14.7 bound is below this read as 0 in the tables
+MILLER_RESCALE = 1e200  # a Bessel column whose running sum of squares passes this is rescaled
 
-    M couples only sites of opposite parity, so it is [[0, C], [C^T, 0]] on
-    (P, Q), C the |P| x |Q| bidiagonal coupling block.  Returns (X, sigma, Y)
-    of the thin SVD C = X diag(sigma) Y^T: the modes of M are (x, +-y)/sqrt(2)
-    at +-sigma, plus the null space of C^T or C at zero.
+
+def row_sum_bound(couplings: np.ndarray) -> float:
+    """The largest row sum of |M| over the hopping matrices of `couplings` (one profile per row):
+    the Gershgorin bound alpha >= ||M||, 0 when every coupling is and inf past the float range."""
+    a = np.abs(couplings)
+    with np.errstate(over="ignore"):
+        return float(max(np.max(a[..., :-1] + a[..., 1:], initial=0.0), np.max(a, initial=0.0)))
+
+
+def _log_bessel_bound(nu, x):
+    """log of DLMF 10.14.7's bound |J_nu(x)| <= z^nu e^(nu s) / (1 + s)^nu, z = x / nu, s = sqrt(1 - z^2).
+
+    For orders nu >= 1; the bound reads 1 where nu <= x, and x = 0 as the smallest normal float.
     """
-    n = couplings.size + 1
-    # coupling j joins sites j and j+1; site s is entry s // 2 of P or of Q
-    left = np.arange(n - 1)
-    in_p = left % 2 == (n - 1) % 2
-    block = np.zeros(((n + 1) // 2, n // 2))
-    block[np.where(in_p, left, left + 1) // 2, np.where(in_p, left + 1, left) // 2] = couplings
-    X, sigma, Yt = np.linalg.svd(block, full_matrices=False)
-    return X, sigma, Yt.T
+    z = np.minimum(np.maximum(x, np.finfo(float).tiny) / nu, 1.0)
+    s = np.sqrt((1 - z) * (1 + z))
+    return nu * (np.log(z) + s - np.log1p(s))
 
 
-UNIFORM_GRID_MIN_POINTS = 64  # shorter grids evaluate each phase directly
-RESIDUAL_PHASE_TOL = 1e-9  # largest |sigma| |r| of a factored grid; (sigma r)^2/2 is dropped
+def _bound_order(x, tol):
+    """Least order nu >= 1 whose bound on |J_nu(x)| is at most tol, elementwise, by bisection.
 
-
-def _phase_tables(t: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block starts a, offsets c and residuals r with t_k = a[k // B] + c[k % B] + r[k].
-
-    On a uniform grid, a_b = t_0 + b B dt and c_m = m dt with B = ceil(sqrt K),
-    and r = (t - a) - c is of rounding size (and exact for t >= 0, by Sterbenz).
-    Grids under UNIFORM_GRID_MIN_POINTS points, or whose residual phases
-    |sigma| |r| exceed RESIDUAL_PHASE_TOL, take B = 1: the anchors are t
-    itself, the one offset is 0 and r = 0.
+    The bound is at most (e x / 2 nu)^nu, so nu = max(e x, log2(1 / tol)) + 1 always passes.
     """
-    k = t.size
-    if k >= UNIFORM_GRID_MIN_POINTS:
-        b = int(np.ceil(np.sqrt(k)))
-        index = np.arange(k)
-        # a span past the float range gives non-finite residuals, which fail the test
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = (t[-1] - t[0]) / (k - 1)
-            anchors = t[0] + step * b * np.arange(-(-k // b))
-            offsets = step * np.arange(b)
-            residual = (t - anchors[index // b]) - offsets[index % b]
-            phase = np.abs(sigma).max(initial=0.0) * np.abs(residual).max()
-        if phase <= RESIDUAL_PHASE_TOL:
-            return anchors, offsets, residual
-    return t, np.zeros(1), np.zeros(k)
+    lo = np.zeros(np.broadcast(x, tol).shape)
+    hi = np.ceil(np.maximum(np.e * np.asarray(x), -np.log2(tol))) + 1
+    log_tol = np.log(tol)
+    for _ in range(int(hi.max(initial=0)).bit_length()):
+        mid = np.maximum(np.floor((lo + hi) / 2), 1.0)
+        ok = _log_bessel_bound(mid, x) <= log_tol
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    return hi
 
 
-def _phase_sums(t: np.ndarray, sigma: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """S[k, s] = sum_j weights[s, j] exp(i sigma_j t_k), from `_phase_tables`.
+def chebyshev_order(x: float) -> int:
+    """Least order K with 2 sum_{k>K} |J_k(x)| <= CHEBYSHEV_TOL, each |J_k(x)| by DLMF 10.14.7.
 
-    S = (A w) C^T + i r (A w sigma) C^T with A = exp(i sigma a), C = exp(i sigma c):
-    each phase is the product of two table entries, so no error accumulates
-    along the grid, and the dropped term is (sigma r)^2 / 2 per mode.
+    The series of exp(-iMt) over T_k(M / alpha) dropped past order K, x = alpha |t|, then
+    misses at most CHEBYSHEV_TOL in every entry.  The tail is summed over the orders whose
+    bound lies between CHEBYSHEV_TOL / 2 and 1e-30 of it; the bound falls faster than
+    geometrically past x, so later orders add nothing at double precision.
     """
-    anchors, offsets, residual = _phase_tables(t, sigma)
-    A = np.exp(1j * np.multiply.outer(anchors, sigma))
-    C = np.exp(1j * np.multiply.outer(offsets, sigma))
-    both = np.concatenate([weights, weights * sigma])  # (2S, modes)
-    sums = (A[:, None, :] * both).reshape(-1, sigma.size) @ C.T  # (blocks * 2S, B)
-    sums = sums.reshape(anchors.size, both.shape[0], offsets.size).transpose(0, 2, 1)
-    sums = sums.reshape(-1, both.shape[0])[: t.size]
-    s = weights.shape[0]
-    return sums[:, :s] + 1j * residual[:, None] * sums[:, s:]
+    if not 0 <= x < 2**52:
+        raise ValueError(f"alpha |t| = {x} has no Chebyshev order among the exact float integers")
+    first, last = _bound_order(x, np.array([CHEBYSHEV_TOL / 2, CHEBYSHEV_TOL * 1e-30]))
+    bound = np.exp(_log_bessel_bound(np.arange(first, last + 1), x))
+    tail = 2 * np.cumsum(bound[::-1])[::-1]  # tail[j]: 2 sum over the orders >= first + j
+    return int(first) + int(np.argmax(tail <= CHEBYSHEV_TOL)) - 1
 
 
-def _end_column(profile: CouplingProfile, t: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Real mode sums R[a, b] for U_{i,N}(t) = <i|exp(-iMt)|N>, i = sites[b], t = t[a].
+def _bessel_table(orders: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_k(x_j) for the ascending `orders` k and every x_j >= 0, by Miller's backward recurrence.
 
-    U_{i,N} is R where i+N-1 is even (i in P, 0-based) and -1j*R where it is
-    odd (i in Q).  With C = X diag(sigma) Y^T from `eigh_tridiagonal`,
-
-        exp(-iMt) = [[X cos(sigma t) X^T + (I - X X^T), -1j X sin(sigma t) Y^T],
-                     [-1j Y sin(sigma t) X^T,           ...                    ]]
-
-    so R is a cosine sum with weights X[i] X[N] on P and a sine sum with
-    weights Y[i] X[N] on Q: the real and imaginary parts of one `_phase_sums`.
-    On a uniform grid of at least 64 points whose residuals keep
-    |sigma| |r| <= 1e-9, the sums come from block phase tables of about
-    sqrt(K) rows each, to within (sigma r)^2 / 2; other grids take B = 1,
-    one exponential per time and mode.  The +-sigma pairing is exact by
-    construction.  The constant delta_{iN} - sum X[i] X[N] on P is the zero
-    eigenspace of M, degenerate once a coupling vanishes, fixed by U(0) = 1
-    without its eigenvectors.
+    Column j starts at its own order m_j, the last one whose DLMF 10.14.7 bound exceeds
+    MILLER_TOL, with J_{m+1} = 0 and J_m = 1, and runs J_{k-1} = (2k / x) J_k - J_{k+1} down to
+    J_0.  Orders past m_j read 0; at m_j = 0 (x_j = 0 or of order MILLER_TOL) the column is
+    J_0 = 1 alone and no 2 / x_j is formed.  J_0^2 + 2 sum J_k^2 = 1, a sum of positive terms,
+    normalizes each column, and J_0 + 2 sum J_2k = 1 gives its sign.  Starting at m_j keeps
+    the unnormalized values within about 1 / MILLER_TOL; should a sum of squares still pass
+    MILLER_RESCALE, the live columns are scaled back to unit sums.  Columns are sorted by m_j,
+    so the live ones are a prefix.
     """
-    n = profile.n_qubits
-    X, _, Y = eigh_tridiagonal(profile.couplings)
-    p = (n - 1) % 2
-    V = np.empty((n, X.shape[1]))  # x on P, y on Q, site by site
-    V[p::2], V[1 - p :: 2] = X, Y
-    weights = V[sites] * V[-1]
-    # extended-precision Rayleigh quotients x^T C y / (|x| |y|), where
-    # x^T C y = sum_j J_j V[j] V[j+1]: singular values to rounding, so the
-    # phases sigma*t stay accurate at long times
-    v = V.astype(np.longdouble)
-    x, y = v[p::2], v[1 - p :: 2]
-    c = profile.couplings.astype(np.longdouble)
-    sigma = np.einsum("i,ij,ij->j", c, v[:-1], v[1:]) / np.sqrt(
-        np.einsum("ij,ij->j", x, x) * np.einsum("ij,ij->j", y, y)
-    )
-    sums = _phase_sums(t, sigma.astype(float), weights)
-    even = (sites + n - 1) % 2 == 0
-    return np.where(even, sums.real + ((sites == n - 1) - weights.sum(axis=1)), sums.imag)
+    start = (_bound_order(x, MILLER_TOL) - 1).astype(int)
+    perm = np.argsort(-start, kind="stable")
+    start = start[perm]
+    top = int(start.max(initial=0))
+    live = np.searchsorted(-start, -np.arange(top + 2), side="right")  # columns with m_j >= k
+    inv = np.zeros(x.size)
+    np.divide(2.0, x[perm[: live[1]]], out=inv[: live[1]])
+    # J_{k+1}, J_k and scratch, each 0 in a column until the column goes live
+    hi, lo, tmp = np.zeros(x.size), np.zeros(x.size), np.zeros(x.size)
+    squares, evens = np.zeros(x.size), np.zeros(x.size)  # sum over k >= 1 of J_k^2, of J_k at even k
+    table = np.zeros((orders.size, x.size))
+    rows = dict(zip(orders.tolist(), range(orders.size)))
+    for k in range(top, 0, -1):
+        m = live[k]
+        if m > live[k + 1]:
+            lo[live[k + 1] : m] = 1.0
+        if k in rows:
+            table[rows[k], perm[:m]] = lo[:m]
+        np.multiply(lo[:m], lo[:m], out=tmp[:m])
+        squares[:m] += tmp[:m]
+        if k % 2 == 0:
+            evens[:m] += lo[:m]
+        if squares[:m].max() > MILLER_RESCALE:
+            scale = 1 / np.sqrt(squares[:m])
+            for arr in (hi, lo, evens):
+                arr[:m] *= scale
+            squares[:m] = 1.0
+            table[np.searchsorted(orders, k) :, perm[:m]] *= scale
+        np.multiply(lo[:m], inv[:m], out=tmp[:m])
+        tmp[:m] *= k
+        tmp[:m] -= hi[:m]
+        hi, lo, tmp = lo, tmp, hi
+    lo[live[1] :] = 1.0
+    if 0 in rows:
+        table[rows[0], perm] = lo
+    scale = np.empty(x.size)
+    scale[perm] = np.sign(lo + 2 * evens) / np.sqrt(lo * lo + 2 * squares)
+    table *= scale
+    return table
+
+
+def eigh_tridiagonal(couplings: np.ndarray, orders: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Chebyshev moments mu[j, p, s] = <i|T_k(M_p)|N>, k = orders[j] (ascending), i = sites[s],
+    of the zero-diagonal tridiagonal M_p with off-diagonal couplings[p], scaled to ||M_p|| <= 1.
+
+    The three-term recurrence v_{k+1} = 2 M v_k - v_{k-1} runs on every profile at once, from
+    v_0 = e_N and v_{-1} = v_1 = M e_N, each step a few in-place products on the sites that
+    matter: v_{k+1} vanishes on sites more than k + 1 from N, and from order k on only the
+    sites within (last order - k) of a site read can reach it.  This is the chain engine's one
+    spectral step; the name is kept because the benchmark tracer binds it as chain.eigensolve,
+    and ROADMAP item 8 renames it.
+    """
+    n = couplings.shape[1] + 1
+    moments = np.empty((orders.size, couplings.shape[0], sites.size))
+    rows = dict(zip(orders.tolist(), range(orders.size)))
+    last, reach = (int(orders[-1]), int(sites.max())) if orders.size else (0, 0)
+    # site i sits at column i + 1 of prev and cur, between two zero columns; double[:, i] = 2 J_{i-1}
+    double = np.zeros((couplings.shape[0], n + 1))
+    double[:, 1:-1] = 2 * couplings
+    prev = np.zeros((couplings.shape[0], n + 2))
+    prev[:, -3] = couplings[:, -1]
+    cur = np.zeros_like(prev)
+    cur[:, -2] = 1.0
+    tmp = np.empty((couplings.shape[0], n))
+    for k in range(last + 1):
+        if k in rows:
+            np.take(cur, sites + 1, axis=1, out=moments[rows[k]])
+        if k == last:
+            break
+        lo, hi = max(0, n - 2 - k), min(n, reach + last - k)  # the sites of v_{k+1} to update
+        np.multiply(double[:, lo:hi], cur[:, lo:hi], out=tmp[:, lo:hi])
+        np.subtract(tmp[:, lo:hi], prev[:, lo + 1 : hi + 1], out=prev[:, lo + 1 : hi + 1])
+        np.multiply(double[:, lo + 1 : hi + 1], cur[:, lo + 2 : hi + 2], out=tmp[:, lo:hi])
+        prev[:, lo + 1 : hi + 1] += tmp[:, lo:hi]
+        prev, cur = cur, prev
+    return moments
+
+
+def _end_column(couplings: np.ndarray, t: np.ndarray, sites: np.ndarray, out: np.ndarray) -> int:
+    """Real sums R for U_{i,N}(t) = <i|exp(-iMt)|N>, into out[p * S + s, j] for profile
+    couplings[p], site i = sites[s] and time t[j]; returns the Chebyshev order K used.
+
+    U_{i,N} is R where d = N - 1 - i is even and -1j*R where it is odd.  By Jacobi-Anger,
+
+        exp(-iMt) = sum_k (2 - delta_k0) (-i)^k J_k(alpha t) T_k(M / alpha),
+
+    with alpha = `row_sum_bound` over the whole batch.  M is bipartite with a light cone, so
+    <i|T_k(M / alpha)|N> vanishes unless k >= d and k = d (mod 2): (-i)^k is (-1)^(k // 2)
+    for even d and -1j (-1)^(k // 2) for odd d, and
+
+        R = sum_k c_k J_k(alpha t) mu_k,  c_k = (2 - delta_k0) (-1)^(k // 2),
+
+    over those k up to K = `chebyshev_order`(alpha max |t|), with J_k(-x) = (-1)^k J_k(x).
+    One Bessel table and one run of `eigh_tridiagonal` for the moments mu_k serve the
+    whole batch.  alpha = 0 (no coupling) gives K = 0 and U = I.
+    """
+    alpha = row_sum_bound(couplings)
+    scaled = couplings / alpha if alpha > 0 else couplings
+    x = alpha * np.abs(t)
+    order = chebyshev_order(float(x.max(initial=0.0)))
+    k = np.arange(order + 1)[:, None]
+    distance = couplings.shape[1] - sites
+    orders = np.flatnonzero(((k >= distance) & ((k - distance) % 2 == 0)).any(axis=1))
+    table = _bessel_table(orders, x)
+    table *= np.where(orders % 4 < 2, 2.0, -2.0)[:, None]
+    table[orders == 0] /= 2
+    if (t < 0).any():
+        table[orders % 2 == 1] *= np.where(t < 0, -1.0, 1.0)
+    moments = eigh_tridiagonal(scaled, orders, sites)
+    np.matmul(moments.reshape(orders.size, out.shape[0]).T, table, out=out)
+    return order
 
 
 def transfer_amplitude(profile: CouplingProfile, t: float) -> complex:
@@ -237,9 +313,11 @@ def _times(t_grid) -> np.ndarray:
 
 
 def amplitude_curve(profile: CouplingProfile, t_grid: np.ndarray) -> np.ndarray:
-    """f(t) on a whole time grid from one diagonalization."""
-    r = _end_column(profile, _times(t_grid), np.array([0]))[:, 0]
-    f = r + 0j if profile.n_qubits % 2 else -1j * r
+    """f(t) on a whole time grid from one moment recurrence and one Bessel table."""
+    t = _times(t_grid)
+    r = np.empty((1, t.size))
+    _end_column(profile.couplings[None], t, np.array([0]), r)
+    f = r[0] + 0j if profile.n_qubits % 2 else -1j * r[0]
     if not (np.abs(f) <= 1 + AMPLITUDE_TOL).all():
         raise AssertionError(f"|f| = {np.abs(f).max()} exceeds 1")
     return f
@@ -253,7 +331,9 @@ def propagator_coefficients(profile: CouplingProfile, t: float) -> np.ndarray:
     of the chain ends.
     """
     sites = np.arange(profile.n_qubits - 1, -1, -1)
-    return _end_column(profile, _times(float(t)), sites)[0]
+    out = np.empty((sites.size, 1))
+    _end_column(profile.couplings[None], _times(float(t)), sites, out)
+    return out[:, 0]
 
 
 class TruncationError(RuntimeError):
@@ -367,6 +447,19 @@ def first_arrival_window(n_qubits: int) -> np.ndarray:
     return np.round(np.arange(0.0, 0.55 * n_qubits + 3.0 + 1e-9, 0.05), 10)
 
 
+def _abs_surface(couplings: np.ndarray, t_grid: np.ndarray, surface: np.ndarray) -> tuple[float, int]:
+    """|f| of each row of `couplings` on t_grid, written into the rows of `surface` in place.
+
+    Returns the surface maximum, checked against 1 + AMPLITUDE_TOL, and the Chebyshev order.
+    """
+    order = _end_column(couplings, t_grid, np.array([0]), surface)
+    np.abs(surface, out=surface)
+    top = float(surface.max())
+    if not top <= 1 + AMPLITUDE_TOL:
+        raise AssertionError(f"|f| = {top} exceeds 1")
+    return top, order
+
+
 @dataclass(frozen=True)
 class SweepResult:
     eta_grid: np.ndarray
@@ -376,6 +469,7 @@ class SweepResult:
     t_max: float
     flux_max: float
     argmax_ties: int  # surface points within TIE_TOL of the maximum
+    chebyshev_order: int  # the series order K of the whole surface
 
 
 def eta_sweep(
@@ -385,21 +479,20 @@ def eta_sweep(
 ) -> SweepResult:
     """|f| surface over (eta, Jt) with earliest-time argmax selection.
 
-    Grid points whose value is within TIE_TOL of the surface maximum count
-    as ties; the smallest time wins, then the smallest eta.
+    Every eta's profile shares one Bessel table.  Grid points whose value is
+    within TIE_TOL of the surface maximum count as ties; the smallest time
+    wins, then the smallest eta.
     """
     eta_grid = _grid_1d(eta_grid, "eta_grid")
     t_grid = _times(t_grid)
     if eta_grid.size == 0 or t_grid.size == 0:
         raise ValueError("grids must be non-empty")
     surface = np.empty((eta_grid.size, t_grid.size))
-    for i, eta in enumerate(eta_grid):
-        profile = CouplingProfile.uniform_eta(n_qubits, 1.0, float(eta))
-        surface[i] = np.abs(amplitude_curve(profile, t_grid))
-    top = float(surface.max())
+    couplings = np.array([CouplingProfile.uniform_eta(n_qubits, 1.0, eta).couplings for eta in eta_grid.tolist()])
+    top, order = _abs_surface(couplings, t_grid, surface)
     tie_eta, tie_t = np.nonzero(surface >= top - TIE_TOL)
-    order = np.lexsort((eta_grid[tie_eta], t_grid[tie_t]))
-    ei, ti = int(tie_eta[order[0]]), int(tie_t[order[0]])
+    first = np.lexsort((eta_grid[tie_eta], t_grid[tie_t]))[0]
+    ei, ti = int(tie_eta[first]), int(tie_t[first])
     return SweepResult(
         eta_grid,
         t_grid,
@@ -408,6 +501,7 @@ def eta_sweep(
         float(t_grid[ti]),
         float(surface[ei, ti]),
         int(tie_t.size),
+        order,
     )
 
 
@@ -421,6 +515,10 @@ class DisorderResult:
     negative_coupling_trials: tuple[int, ...]
     spec: DisorderSpec
     eta: float
+    chebyshev_order: int  # the series order K of every trial
+
+
+STD_COLUMNS = 128  # time points per block of the ensemble's standard deviation
 
 
 def disorder_ensemble(
@@ -432,29 +530,35 @@ def disorder_ensemble(
     """Monte Carlo over Gaussian coupling disorder, deterministic per seed.
 
     Trial k draws from an independent stream keyed by (seed, k), so any one
-    trial can be recomputed on its own.
+    trial can be recomputed on its own.  Every trial shares one Bessel table.
     """
     t_grid = _times(t_grid)
     if t_grid.size == 0:
         raise ValueError("grids must be non-empty")
     base = CouplingProfile.uniform_eta(n_qubits, 1.0, eta)
     surface = np.empty((spec.trials, t_grid.size))
+    couplings = np.empty((spec.trials, n_qubits - 1))
     negative: list[int] = []
     for k in range(spec.trials):
         rng = np.random.default_rng([spec.seed, k])
         profile = CouplingProfile.disordered(base, spec.sigma_fraction, rng)
         if profile.has_negative_coupling:
             negative.append(k)
-        surface[k] = np.abs(amplitude_curve(profile, t_grid))
-
+        couplings[k] = profile.couplings
+    _, order = _abs_surface(couplings, t_grid, surface)
+    # a block of columns at a time, so no trials x times temporary is formed
+    std = np.empty(t_grid.size)
+    for j in range(0, t_grid.size, STD_COLUMNS):
+        std[j : j + STD_COLUMNS] = surface[:, j : j + STD_COLUMNS].std(axis=0)
     argmax = surface.argmax(axis=1)
     return DisorderResult(
         t_grid,
         surface.mean(axis=0),
-        surface.std(axis=0),
+        std,
         surface.max(axis=1),
         t_grid[argmax],
         tuple(negative),
         spec,
         eta,
+        order,
     )

@@ -68,20 +68,52 @@ def _count(value: int) -> float:
     return float(value) if value < 2**1023 else float("inf")
 
 
+def _chebyshev_sizes(experiment: str, p: dict, points: float, batch: float) -> dict[str, float]:
+    """The chain engine's Bessel table, moments and recurrence for the run's longest clean profile.
+
+    K comes from `chain.chebyshev_order`, the rule the engine applies, at the largest alpha of
+    the clean profiles (before disorder) and the largest time; `batch` profiles share it.  Each
+    profile makes (K + 1) x n_qubits site updates, at least n_qubits, so a longer chain than the
+    limit is reported without building its profile; K exceeds alpha t, which stands in for K
+    past the exact float integers.
+    """
+    updates = "the moment recurrence's site updates per profile ((K + 1) x n_qubits)"
+    perfect = experiment == "perfect-transfer"
+    # the longest engineered chain has the largest alpha
+    n, t = (max(p["n_list"]), np.pi) if perfect else (p["n_qubits"], p.get("Jt", p.get("t_max")))
+    if n > MAX_ARRAY_ELEMENTS:
+        return {updates: _count(n)}
+    if perfect:
+        profiles = [chain.CouplingProfile.perfect(n, 1.0)]
+    else:
+        etas = [p[key] for key in ("eta", "eta_min", "eta_max") if key in p]
+        profiles = [chain.CouplingProfile.uniform_eta(n, 1.0, eta) for eta in etas]
+    x = max(chain.row_sum_bound(profile.couplings) for profile in profiles) * t
+    order = chain.chebyshev_order(x) if x < 2**52 else x
+    # the end-to-end amplitude keeps the orders of site 1's parity from N - 1 on, for each profile
+    # of the batch; series-check reads every site of its one profile at every order
+    series = experiment == "series-check"
+    kept = order + 1 if series else max(0, (order - n + 1) // 2 + 1)
+    return {
+        "the Bessel table (kept orders x t points)": kept * points,
+        "the moments (kept orders x profiles x sites read)": kept * (_count(n) if series else batch),
+        updates: (order + 1) * _count(n),
+    }
+
+
 def _array_sizes(experiment: str, p: dict) -> dict[str, float]:
     """Element counts of the largest arrays a valid config would allocate."""
     grids = {prefix: _grid_points(p, prefix) for prefix in ("t", "eta") if f"{prefix}_min" in p}
     sizes = {f"the {prefix} grid": points for prefix, points in grids.items()}
-    if experiment == "perfect-transfer":
-        sizes["the chain eigenvectors (n^2)"] = _count(max(p["n_list"], default=0) ** 2)
-    elif experiment in ("transfer-single", "transfer-sweep", "transfer-disorder", "series-check"):
-        sizes["the chain eigenvectors (n_qubits^2)"] = _count(p["n_qubits"] ** 2)
-    if experiment in ("transfer-sweep", "transfer-disorder"):
-        sizes["the mode sums (t points x n_qubits)"] = grids["t"] * _count(p["n_qubits"])
+    batch = 1.0  # profiles that share one Chebyshev run
     if experiment == "transfer-sweep":
         sizes["the sweep surface (eta points x t points)"] = grids["eta"] * grids["t"]
+        sizes["the sweep's recurrence vectors (eta points x n_qubits)"] = grids["eta"] * _count(p["n_qubits"])
+        batch = grids["eta"]
     if experiment == "transfer-disorder":
         sizes["the disorder surface (trials x t points)"] = _count(p["trials"]) * grids["t"]
+        sizes["the ensemble's recurrence vectors (trials x n_qubits)"] = _count(p["trials"] * p["n_qubits"])
+        batch = _count(p["trials"])
     if experiment == "series-check":
         # not an array: a bound on the recurrence's site updates, held to the same limit
         steps = (p["truncation_order"] + 3) * p["n_qubits"]
@@ -89,6 +121,8 @@ def _array_sizes(experiment: str, p: dict) -> dict[str, float]:
         # decimal digits held by the recurrence: n_qubits + 2 sites at chain.series_flux's precision
         digits = chain.series_digits(max(1.0, abs(p["eta"])), p["Jt"])
         sizes["the series working digits ((n_qubits + 2) x digits)"] = _count(p["n_qubits"] + 2) * digits
+    if experiment in ("transfer-single", "transfer-sweep", "transfer-disorder", "perfect-transfer", "series-check"):
+        sizes.update(_chebyshev_sizes(experiment, p, grids.get("t", 1.0), batch))
     return sizes
 
 
@@ -163,6 +197,11 @@ def run_universality_scan(params, seed):
     return [TableOutput("universality-scan", columns, _eigensolve_extra(chains))]
 
 
+def _chebyshev_order(profile: chain.CouplingProfile, t: float) -> int:
+    """The series order the chain engine takes for one profile at one time."""
+    return chain.chebyshev_order(chain.row_sum_bound(profile.couplings) * abs(t))
+
+
 def run_transfer_single(params, seed):
     profile = chain.CouplingProfile.uniform_eta(params["n_qubits"], 1.0, params["eta"])
     result = chain.transfer(profile, params["Jt"])
@@ -180,7 +219,11 @@ def run_transfer_single(params, seed):
         "offset_Z": result.flux.entry("Z", "I"),
         "worst_case_fidelity": result.worst_case_fidelity,
     }
-    return [SummaryOutput("transfer-single", items)]
+    extra = {
+        "cost.chebyshev_order": str(_chebyshev_order(profile, params["Jt"])),
+        "health.max_abs_f": f"{abs(f):.15g}",
+    }
+    return [SummaryOutput("transfer-single", items, extra)]
 
 
 def run_transfer_sweep(params, seed):
@@ -196,6 +239,7 @@ def run_transfer_sweep(params, seed):
         "worst_case_fidelity": f"{sweep.flux_max ** 2:.15g}",
         "health.argmax_ties": f"{sweep.argmax_ties:d}",
         "health.max_abs_f": f"{sweep.surface.max():.15g}",
+        "cost.chebyshev_order": f"{sweep.chebyshev_order:d}",
     }
     return [TableOutput("transfer-sweep", columns, extra)]
 
@@ -216,6 +260,7 @@ def run_transfer_disorder(params, seed):
         "median_argmax_Jt": f"{np.median(result.argmax_times):.15g}",
         "negative_coupling_trials": str(len(result.negative_coupling_trials)),
         "health.max_abs_f": f"{result.max_fluxes.max():.15g}",
+        "cost.chebyshev_order": f"{result.chebyshev_order:d}",
     }
     return [TableOutput("transfer-disorder", surface, extra), TableOutput("transfer-disorder-trials", trials)]
 
@@ -224,7 +269,11 @@ def run_perfect_transfer(params, seed):
     n_list = np.array(params["n_list"])
     profiles = [chain.CouplingProfile.perfect(n, 1.0) for n in n_list.tolist()]
     abs_f = np.abs([chain.transfer_amplitude(profile, np.pi) for profile in profiles])
-    return [TableOutput("perfect-transfer", {"n_qubits": n_list, "abs_f_at_star": abs_f})]
+    extra = {
+        "cost.chebyshev_order": str(max(_chebyshev_order(profile, np.pi) for profile in profiles)),
+        "health.max_abs_f": f"{abs_f.max():.15g}",
+    }
+    return [TableOutput("perfect-transfer", {"n_qubits": n_list, "abs_f_at_star": abs_f}, extra)]
 
 
 def run_series_check(params, seed):

@@ -1,5 +1,3 @@
-import contextlib
-
 import mpmath
 import numpy as np
 import pytest
@@ -37,7 +35,7 @@ def test_profile_validation():
         prof.couplings[0] = 9.0
     assert not prof.has_negative_coupling
     assert np.allclose(prof.reversed().couplings, prof.couplings[::-1])
-    # unchecked, nan fails far from its source: in eigh_tridiagonal or in series_flux's digit count
+    # unchecked, nan fails far from its source: in chebyshev_order or in series_flux's digit count
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             CouplingProfile(3, [bad, 1.0])
@@ -74,6 +72,7 @@ def test_amplitude_curve_matches_pointwise():
     curve = amplitude_curve(prof, ts)
     for i, t in enumerate(ts):
         assert curve[i] == pytest.approx(transfer_amplitude(prof, float(t)))
+    assert amplitude_curve(prof, []).shape == (0,)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -94,7 +93,7 @@ def test_transfer_amplitude_is_the_curve_at_one_time(n):
 
 
 def test_amplitude_bound_checked_on_every_path(monkeypatch):
-    """amplitude_curve checks |f| <= 1 + AMPLITUDE_TOL, so sweeps and ensembles do too."""
+    """amplitude_curve checks |f| <= 1 + AMPLITUDE_TOL, and sweeps and ensembles check their surfaces."""
     prof = CouplingProfile.uniform_eta(4, 1.0, 0.7)
     calls = [
         lambda: amplitude_curve(prof, [0.0, 1.0]),
@@ -103,7 +102,7 @@ def test_amplitude_bound_checked_on_every_path(monkeypatch):
         lambda: disorder_ensemble(4, 0.7, DisorderSpec(0.05, 2, 0), [0.0, 1.0]),
     ]
     for value, fails in ((1 + AMPLITUDE_TOL / 2, False), (1 + 2 * AMPLITUDE_TOL, True)):
-        monkeypatch.setattr(chain, "_end_column", lambda profile, t, sites: np.full((t.size, sites.size), value))
+        monkeypatch.setattr(chain, "_end_column", lambda couplings, t, sites, out: out.fill(value) or 0)
         for call in calls:
             if fails:
                 with pytest.raises(AssertionError, match="exceeds 1"):
@@ -113,19 +112,20 @@ def test_amplitude_bound_checked_on_every_path(monkeypatch):
 
 
 @st.composite
-def chains(draw):
-    """Profiles with negative, weak and exactly zero couplings, both parities.
+def chains(draw, n=None):
+    """Profiles with negative, weak, exactly zero and smallest-normal couplings, both parities.
 
-    Zero edge couplings (eta = 0) isolate the end sites and make the zero
-    eigenvalue degenerate.  A weak link between two blocks splits their zero
-    modes into nearly degenerate small singular values, whose vectors the SVD
-    may return in any rotated basis.
+    Zero edge couplings (eta = 0) isolate the end sites, and all-zero couplings
+    make M = 0.  Couplings of 2.2e-308 make alpha t so small that the Bessel
+    table must not form 2 / (alpha t).
     """
-    n = draw(st.integers(2, 40))
+    if n is None:
+        n = draw(st.integers(2, 40))
     coupling = st.one_of(
         st.just(0.0),
         st.floats(-2.0, 2.0, allow_subnormal=False),
         st.floats(-1e-6, 1e-6, allow_subnormal=False),
+        st.just(np.finfo(float).tiny),
     )
     couplings = draw(st.lists(coupling, min_size=n - 1, max_size=n - 1))
     if draw(st.booleans()):
@@ -134,9 +134,9 @@ def chains(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(chains(), st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5))
+@given(chains(), st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=5))
 def test_mode_sums_match_full_eigh(prof, times):
-    """The half-spectrum sums equal exp(-iMt) from a dense eigh of M."""
+    """The Chebyshev sums equal exp(-iMt) from a dense eigh of M, at negative times too."""
     n = prof.n_qubits
     hopping = np.diag(prof.couplings, 1) + np.diag(prof.couplings, -1)
     w, V = np.linalg.eigh(hopping)
@@ -158,76 +158,23 @@ def test_mode_sums_match_full_eigh(prof, times):
         assert np.abs(propagator_coefficients(prof, t) - expected).max() <= 1e-10
 
 
-@contextlib.contextmanager
-def recorded_block_sizes():
-    """Yields the block size B of every `_phase_tables` call; B = 1 is the direct form."""
-    sizes = []
-    tables = chain._phase_tables
-
-    def recording(t, sigma):
-        anchors, offsets, residual = tables(t, sigma)
-        sizes.append(offsets.size)
-        return anchors, offsets, residual
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(chain, "_phase_tables", recording)
-        yield sizes
-
-
-@st.composite
-def uniform_grids(draw):
-    """Uniform grids long enough for the block phase tables, some rounded to 10
-    decimals as the CLI builds its grids."""
-    k = draw(st.integers(64, 3000))
-    t0 = draw(st.floats(0.0, 50.0))
-    step = draw(st.one_of(st.sampled_from([0.01, 0.05, 0.1]), st.floats(1e-3, 1.0)))
-    grid = t0 + step * np.arange(k)
-    return np.round(grid, 10) if draw(st.booleans()) else grid
-
-
 def _dense_end_amplitude(prof: CouplingProfile, times: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(np.diag(prof.couplings, 1) + np.diag(prof.couplings, -1))
     return np.exp(-1j * np.outer(times, w)) @ (V[0] * V[-1])
 
 
-@settings(max_examples=100, deadline=None)
-@given(chains(), uniform_grids())
-def test_block_phase_tables_match_full_eigh(prof, times):
-    """Uniform grids take the factored form, and it equals a dense eigh of M."""
-    with recorded_block_sizes() as sizes:
-        curve = amplitude_curve(prof, times)
-    assert sizes == [int(np.ceil(np.sqrt(times.size)))]
-    assert np.abs(curve - _dense_end_amplitude(prof, times)).max() <= 1e-10
-
-
 @pytest.mark.parametrize(
-    "jitter, block",
-    [(lambda rng: np.eye(200)[117] * 1e-6, 1), (lambda rng: rng.uniform(-2e-10, 2e-10, 200), 15)],
-    ids=["one-point-1e-6-direct", "every-point-2e-10-first-order"],
+    "jitter",
+    [lambda rng: np.eye(200)[117] * 1e-6, lambda rng: rng.uniform(-2e-10, 2e-10, 200)],
+    ids=["one-point-1e-6", "every-point-2e-10"],
 )
-def test_grid_residuals_choose_the_form(jitter, block):
-    """One point of a 200-point grid moved by 1e-6 leaves residual phases far
-    above the 1e-9 test, so every phase is evaluated directly.  Residuals of
-    2e-10 at every point stay under it: the tables carry them to first order,
-    and dropping that term would cost 2.7e-11 here."""
+def test_jittered_grids_match_full_eigh(jitter):
+    """A 200-point grid with one point moved by 1e-6, or every point by up to 2e-10,
+    takes the same path as a uniform one and equals a dense eigh of M."""
     rng = np.random.default_rng(8)
     prof = CouplingProfile(8, rng.uniform(-1.5, 1.5, size=7))
     times = np.round(np.arange(200) * 0.05, 10) + jitter(rng)
-    with recorded_block_sizes() as sizes:
-        curve = amplitude_curve(prof, times)
-    assert sizes == [block]
-    assert np.abs(curve - _dense_end_amplitude(prof, times)).max() <= 1e-13
-
-
-@pytest.mark.parametrize(
-    "n, times", [(101, DEFAULT_TIME_GRID), (201, first_arrival_window(201))], ids=["101-default", "201-window"]
-)
-def test_shipped_grids_take_the_block_tables(n, times):
-    """The experiments' grids are uniform up to their 10-decimal rounding."""
-    with recorded_block_sizes() as sizes:
-        for eta in (0.1, 0.5, 1.0):
-            amplitude_curve(CouplingProfile.uniform_eta(n, 1.0, eta), times)
-    assert sizes == [int(np.ceil(np.sqrt(times.size)))] * 3
+    assert np.abs(amplitude_curve(prof, times) - _dense_end_amplitude(prof, times)).max() <= 1e-13
 
 
 def _disordered_with_one_negative_coupling() -> CouplingProfile:
@@ -260,17 +207,10 @@ def test_mode_sums_match_full_eigh_long_chains(prof, times):
 
 
 def test_long_time_phases_match_extended_precision_modes():
-    """At Jt = 1e3 and 1e4 the phases sigma*t need sigma to rounding, which the
-    long-double Rayleigh quotients give and LAPACK's singular values alone do not
-    (2.6e-13 and 1.1e-12 off at the two single times, against 2.2e-14 and 6.0e-14).
-
-    The 100-point grids of step 0.05 take the block phase tables.  At Jt = 1e4
-    float64 rounds each phase sigma_j t, up to 2e4 here, by a half-ulp of up to
-    1.8e-12; weighted by |x_j(1) x_j(N)|, which sum to 0.98, that rounding alone
-    moves f by up to 7.3e-13, so the grid's bound is 1e-12 rather than 3e-13.
-    Measured: 4.1e-14 at 1e3 and 3.3e-13 at 1e4 with one exponential per time
-    and mode, 2.6e-14 and 3.1e-13 with the tables.
-    """
+    """At Jt = 1e3 and 1e4 (alpha t up to 2.2e4, Chebyshev orders past 22 000) the
+    sums match 40-digit modes.  The moment recurrence's rounding grows with the
+    order; at Jt = 1e4 on the 100-point grid the reference itself, rounded from
+    phases e_j t of up to 2e4, is good to about 7e-13, so that bound is 1e-12."""
     couplings = 1 + 0.05 * np.random.default_rng(0).normal(size=20)
     cases = [
         (np.array([1e3, 1e4]), 3e-13),
@@ -291,10 +231,93 @@ def test_long_time_phases_match_extended_precision_modes():
             for times, _ in cases
         ]
     for (times, tol), reference in zip(cases, references):
-        with recorded_block_sizes() as sizes:
-            curve = amplitude_curve(CouplingProfile(21, couplings), times)
-        assert sizes == [1 if times.size < 64 else 10]
-        assert np.abs(curve - reference).max() <= tol
+        assert np.abs(amplitude_curve(CouplingProfile(21, couplings), times) - reference).max() <= tol
+
+
+BESSEL_POINTS = np.array([0.0, 5e-324, 1e-300, 1e-8, 0.5, 120.0, 227.0])
+
+
+def test_bessel_table_matches_mpmath():
+    """Every order up to 60 and 20 orders spread up to K = chebyshev_order(227), at
+    arguments from 0 and the smallest subnormal to 227, within 2e-15 of 40-digit
+    Bessel values and without a floating-point warning."""
+    orders = np.union1d(np.arange(61), np.linspace(0, chain.chebyshev_order(227.0), 20).astype(int))
+    table = chain._bessel_table(orders, BESSEL_POINTS)
+    with mpmath.workdps(40):
+        reference = [[float(mpmath.besselj(int(k), mpmath.mpf(x))) for x in BESSEL_POINTS] for k in orders]
+    assert np.abs(table - reference).max() <= 2e-15
+
+
+def test_bessel_rescale_guard_keeps_the_table(monkeypatch):
+    """A column rescaled at every order gives the same normalized values."""
+    orders = np.arange(0, 300, 7)
+    plain = chain._bessel_table(orders, BESSEL_POINTS)
+    monkeypatch.setattr(chain, "MILLER_RESCALE", 1.0)
+    assert np.abs(chain._bessel_table(orders, BESSEL_POINTS) - plain).max() <= 1e-15
+
+
+def _bessel_tail(order, x):
+    """2 sum_{k > order} of DLMF 10.14.7's bound on |J_k(x)|, summed 5000 orders out."""
+    k = np.arange(order + 1, order + 5001, dtype=float)
+    z = np.minimum(max(x, np.finfo(float).tiny) / k, 1.0)
+    s = np.sqrt(1 - z * z)
+    return 2 * np.exp(k * (np.log(z) + s - np.log1p(s))).sum()
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 1e-8, 0.5, 110.2, 120.0, 227.1, 2.2e4])
+def test_chebyshev_order_is_the_least_within_tolerance(x):
+    """K is the least order whose bounded Bessel tail is at most CHEBYSHEV_TOL."""
+    order = chain.chebyshev_order(x)
+    assert _bessel_tail(order, x) <= chain.CHEBYSHEV_TOL
+    assert order == 0 or _bessel_tail(order - 1, x) > chain.CHEBYSHEV_TOL
+
+
+def test_uncoupled_chain_is_the_identity():
+    """alpha = 0: order 0 and U = I, so nothing arrives and the end site stays."""
+    prof = CouplingProfile(4, np.zeros(3))
+    assert np.array_equal(amplitude_curve(prof, [0.0, 5.0]), [0, 0])
+    assert np.array_equal(propagator_coefficients(prof, 5.0), [1, 0, 0, 0])
+    assert eta_sweep(2, [0.0], [0.0, 5.0]).chebyshev_order == 0
+
+
+@st.composite
+def batches(draw):
+    """Two to five chains() profiles of one length."""
+    first = draw(chains())
+    rest = draw(st.lists(chains(first.n_qubits), min_size=1, max_size=4))
+    return [first, *rest]
+
+
+@settings(max_examples=100, deadline=None)
+@given(batches(), st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5))
+def test_batch_rows_match_single_profiles(profiles, times):
+    """A batch shares the largest alpha and one Bessel table; each row is still its
+    profile's own |f|."""
+    t = np.array(times)
+    surface = np.empty((len(profiles), t.size))
+    chain._abs_surface(np.array([p.couplings for p in profiles]), t, surface)
+    for row, prof in zip(surface, profiles):
+        assert np.abs(row - np.abs(amplitude_curve(prof, t))).max() <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 30),
+    st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0), st.just(1e-6), st.just(np.finfo(float).tiny)), min_size=1, max_size=4),
+    st.sampled_from([0.0, 0.05, 5.0]),
+)
+def test_sweep_and_ensemble_rows_match_single_profiles(n, etas, sigma):
+    """eta_sweep and disorder_ensemble rows equal amplitude_curve of each profile alone."""
+    t = np.linspace(0.0, 12.0, 25)
+    sweep = eta_sweep(n, etas, t)
+    for eta, row in zip(etas, sweep.surface):
+        assert np.abs(row - np.abs(amplitude_curve(CouplingProfile.uniform_eta(n, 1.0, eta), t))).max() <= 1e-13
+    spec = DisorderSpec(sigma, 3, 1)
+    ensemble = disorder_ensemble(n, etas[0], spec, t)
+    base = CouplingProfile.uniform_eta(n, 1.0, etas[0])
+    for k in range(spec.trials):
+        prof = CouplingProfile.disordered(base, sigma, np.random.default_rng([spec.seed, k]))
+        assert ensemble.max_fluxes[k] == pytest.approx(np.abs(amplitude_curve(prof, t)).max(), abs=1e-13)
 
 
 def test_mirror_symmetry():
@@ -315,7 +338,7 @@ def test_propagator_coefficients_t0_and_endpoint():
         v = propagator_coefficients(prof, t)
         fm = transfer(prof, t).flux
         assert v[-1] == pytest.approx(fm.entry("X", "X"), abs=1e-12)
-    # unitarity of the mode expansion keeps the coefficient vector normalized
+    # unitarity of the propagator keeps the coefficient vector normalized
     assert np.sum(propagator_coefficients(prof, 2.5) ** 2) == pytest.approx(1.0)
 
 

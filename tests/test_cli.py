@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxion.chain import TIE_TOL, CouplingProfile, transfer_amplitude
+from fluxion.chain import TIE_TOL, CouplingProfile, chebyshev_order, row_sum_bound, transfer_amplitude
 from fluxion.cli import (
     ConfigError,
     RunConfig,
@@ -188,18 +188,23 @@ def _read_meta(path):
 
 def test_chain_sidecars_carry_health_keys(tmp_path):
     """transfer-sweep records the argmax tie count and the largest |f|,
-    transfer-disorder the largest |f| over all trials."""
+    transfer-disorder the largest |f| over all trials, transfer-single and
+    perfect-transfer the largest |f| they computed; all four record the
+    Chebyshev order the engine took."""
     common = {"experiment", "seed", "version", "wall_time_s", "created_utc"}
+    cost = {"cost.chebyshev_order"}
     sweep_params = {"n_qubits": "5", "eta_min": "0.5", "eta_max": "0.7", "t_max": "6.0"}
     paths = run(RunConfig("transfer-sweep", sweep_params), out_dir=str(tmp_path / "sweep"))
     meta = _read_meta(next(p for p in paths if p.endswith(".csv.meta")))
-    assert set(meta) == common | {f"param.{k}" for k in sweep_params} | {
+    assert set(meta) == common | cost | {f"param.{k}" for k in sweep_params} | {
         "eta_max", "Jt_max", "flux_max", "worst_case_fidelity", "health.argmax_ties", "health.max_abs_f"
     }
     with open(next(p for p in paths if p.endswith(".csv"))) as fh:
         abs_f = np.array([float(line.split(",")[2]) for line in list(fh)[1:]])
     assert int(meta["health.argmax_ties"]) == int((abs_f >= abs_f.max() - TIE_TOL).sum()) >= 1
     assert float(meta["health.max_abs_f"]) == abs_f.max() >= float(meta["flux_max"])
+    # alpha = 2 where the two unit couplings of the 5-site chains meet, up to t = 6
+    assert int(meta["cost.chebyshev_order"]) == chebyshev_order(2 * 6.0)
 
     disorder_params = {"n_qubits": "6", "trials": "8", "t_max": "6.0", "t_step": "0.5"}
     paths = run(RunConfig("transfer-disorder", disorder_params), out_dir=str(tmp_path / "disorder"))
@@ -207,10 +212,35 @@ def test_chain_sidecars_carry_health_keys(tmp_path):
     base = common | {f"param.{k}" for k in disorder_params}
     assert set(metas["transfer-disorder-trials.csv.meta"]) == base
     meta = metas["transfer-disorder.csv.meta"]
-    assert set(meta) == base | {"mean_max_flux", "median_argmax_Jt", "negative_coupling_trials", "health.max_abs_f"}
+    assert set(meta) == base | cost | {
+        "mean_max_flux", "median_argmax_Jt", "negative_coupling_trials", "health.max_abs_f"
+    }
     with open(tmp_path / "disorder" / "transfer-disorder-trials.csv") as fh:
         max_flux = [float(line.split(",")[1]) for line in list(fh)[1:]]
     assert float(meta["health.max_abs_f"]) == max(max_flux)
+    clean = CouplingProfile.uniform_eta(6, 1.0, 0.5)
+    trials = [CouplingProfile.disordered(clean, 0.05, np.random.default_rng([0, k])) for k in range(8)]
+    alpha = row_sum_bound(np.array([trial.couplings for trial in trials]))
+    assert int(meta["cost.chebyshev_order"]) == chebyshev_order(alpha * 6.0)
+
+    single_params = {"n_qubits": "7", "eta": "0.5", "Jt": "4.0"}
+    txt, meta_path = run(RunConfig("transfer-single", single_params), out_dir=str(tmp_path / "single"))
+    meta = _read_meta(meta_path)
+    assert set(meta) == common | cost | {f"param.{k}" for k in single_params} | {"health.max_abs_f"}
+    with open(txt) as fh:
+        items = dict(line.rstrip("\n").split(" = ", 1) for line in fh)
+    assert meta["health.max_abs_f"] == items["abs_f"]
+    assert int(meta["cost.chebyshev_order"]) == chebyshev_order(2 * 4.0)
+
+    perfect_params = {"n_list": "4, 7"}
+    csv, meta_path = run(RunConfig("perfect-transfer", perfect_params), out_dir=str(tmp_path / "perfect"))
+    meta = _read_meta(meta_path)
+    assert set(meta) == common | cost | {f"param.{k}" for k in perfect_params} | {"health.max_abs_f"}
+    with open(csv) as fh:
+        abs_f = [float(line.split(",")[1]) for line in list(fh)[1:]]
+    assert float(meta["health.max_abs_f"]) == max(abs_f)
+    alpha = max(row_sum_bound(CouplingProfile.perfect(n, 1.0).couplings) for n in (4, 7))
+    assert int(meta["cost.chebyshev_order"]) == chebyshev_order(alpha * np.pi)
 
 
 def test_dense_sidecars_carry_eigensolve_cost(tmp_path):
@@ -298,13 +328,14 @@ def test_main_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize(
     "experiment, param, array",
     [
-        ("transfer-sweep", "t_step = 1e-12", "mode sums"),  # numpy asked for 437 TiB
-        ("transfer-single", "n_qubits = 100000000", "chain eigenvectors"),  # 71.1 PiB
+        ("transfer-sweep", "t_step = 1e-12", "sweep surface"),  # numpy asked for 437 TiB
+        ("transfer-single", "n_qubits = 100000000", "moment recurrence"),
+        ("transfer-single", "Jt = 1e9", "moment recurrence"),  # alpha t = 2e9, K = 2 000 016 095
         ("transfer-sweep", "eta_step = 1e-6", "sweep surface"),
         ("transfer-disorder", "trials = 1000000", "disorder surface"),
         # integers too large for a float
-        ("transfer-single", f"n_qubits = {10**400}", "chain eigenvectors"),
-        ("perfect-transfer", f"n_list = 4, {10**400}", "chain eigenvectors"),
+        ("transfer-single", f"n_qubits = {10**400}", "moment recurrence"),
+        ("perfect-transfer", f"n_list = 4, {10**400}", "moment recurrence"),
         ("transfer-disorder", f"trials = {10**400}", "disorder surface"),
         ("series-check", "truncation_order = 1000000000", "series recurrence steps"),
         ("series-check", "Jt = 1e308", "series working digits"),  # was an OverflowError, exit 1
@@ -320,10 +351,16 @@ def test_main_rejects_oversized_arrays(tmp_path, capsys, experiment, param, arra
 
 
 def test_array_limit_boundary():
-    # 4472^2 = 19,998,784 elements is allowed; 4473^2 = 20,007,729 is not
-    assert validate(RunConfig("transfer-single", {"n_qubits": "4472"})) == []
-    diags = validate(RunConfig("transfer-single", {"n_qubits": "4473"}))
-    assert len(diags) == 1 and "chain eigenvectors" in diags[0]
+    """(K + 1) x n_qubits site updates of exactly 2e7 pass and one order more does not:
+    K is the engine's own chebyshev_order at the clean profile's alpha = 2 times Jt."""
+    lo, hi = 0.0, 1e4  # K(2 lo) <= 19 999 < K(2 hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if chebyshev_order(2 * mid) <= 19_999 else (lo, mid)
+    assert validate(RunConfig("transfer-single", {"n_qubits": "1000", "Jt": repr(lo)})) == []
+    diags = validate(RunConfig("transfer-single", {"n_qubits": "1000", "Jt": repr(hi)}))
+    assert diags == ["the moment recurrence's site updates per profile ((K + 1) x n_qubits) would have "
+                     "2e+07 elements, more than 2e+07"]
     assert validate(RunConfig("perfect-transfer", {"n_list": "4, 4473"}))
 
 

@@ -538,13 +538,10 @@ def disorder_ensemble(
     base = CouplingProfile.uniform_eta(n_qubits, 1.0, eta)
     surface = np.empty((spec.trials, t_grid.size))
     couplings = np.empty((spec.trials, n_qubits - 1))
-    negative: list[int] = []
-    for k in range(spec.trials):
-        rng = np.random.default_rng([spec.seed, k])
-        profile = CouplingProfile.disordered(base, spec.sigma_fraction, rng)
-        if profile.has_negative_coupling:
-            negative.append(k)
-        couplings[k] = profile.couplings
+    scale = spec.sigma_fraction * np.abs(base.couplings)
+    for k in range(spec.trials):  # the draws of `CouplingProfile.disordered`, with no profile object per trial
+        np.add(base.couplings, np.random.default_rng([spec.seed, k]).normal(0.0, scale), out=couplings[k])
+    negative = np.flatnonzero((couplings < 0).any(axis=1)).tolist()
     _, order = _abs_surface(couplings, t_grid, surface)
     # a block of columns at a time, so no trials x times temporary is formed
     std = np.empty(t_grid.size)

@@ -148,6 +148,7 @@ def validate(config: RunConfig) -> list[str]:
     return []
 
 
+WRITE_ROWS = 4096  # table rows formatted per block: no list of every cell as a Python object is formed
 _FIELDS = {"f": "{:.15g}", "i": "{:d}", "b": "{:d}", "U": "{}"}  # numpy dtype kind -> format field
 
 
@@ -205,9 +206,11 @@ def run(config: RunConfig, out_dir: str = ".") -> list[str]:
     for output in outputs:
         if isinstance(output, TableOutput):
             path = os.path.join(out_dir, f"{output.name}.csv")
-            template = ",".join(map(_field, output.columns.values()))
-            cells = (column.tolist() for column in output.columns.values())
-            _atomic_write(path, "\n".join([",".join(output.columns), *map(template.format, *cells)]) + "\n")
+            columns = list(output.columns.values())
+            template = ",".join(map(_field, columns)) + "\n"
+            blocks = ("".join(map(template.format, *(c[i : i + WRITE_ROWS].tolist() for c in columns)))
+                      for i in range(0, len(columns[0]), WRITE_ROWS))
+            _atomic_write(path, "".join([",".join(output.columns) + "\n", *blocks]))
         elif isinstance(output, SummaryOutput):
             path = os.path.join(out_dir, f"{output.name}.txt")
             _atomic_write(path, "".join(f"{k} = {_field(v).format(v)}\n" for k, v in output.items.items()))

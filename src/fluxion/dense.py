@@ -1,14 +1,14 @@
 """Full Hilbert-space dynamics for spin-chain Hamiltonians, small registers only.
 
-H is assembled from its Pauli words by `pauli._terms_sparse` and split into
-popcount (excitation-number) sectors when no entry couples different
-popcounts, as for every chain that commutes with total Z; otherwise it is
-one block.  A sector is diagonalized the first time a ket has weight in it
-(`SpinHamiltonian._sector`) and cached on the Hamiltonian, so a
-computational register costs the two sectors its input kets touch.
+H is block-diagonal on its components, each the closure of one basis state
+under H's Pauli words (`pauli._closure`): the popcount sectors for every
+chain that commutes with total Z and has no zero coupling.  A component is
+found and diagonalized the first time a ket has weight in it
+(`SpinHamiltonian._component`) and cached on the Hamiltonian, so a
+computational register costs the two components its input kets touch.
 `_propagate` is the one evolution path: a stack of kets is projected once
-onto each sector it touches and evolved over a whole time grid as one
-(times x sector) phase product.  `flux_trajectory`, the engine's one grid
+onto each component it touches and evolved over a whole time grid as one
+(times x component) phase product.  `flux_trajectory`, the engine's one grid
 read-out, takes the flux at every grid time from the two evolved input kets
 U|reg,0> and U|reg,1> through the one ket partial trace
 `states._reduced_blocks` and the stacked `flux.flux_readout`, with no
@@ -22,12 +22,13 @@ and checks the large-N single-excitation engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .chain import CouplingProfile, _times
 from .flux import FluxMatrix, cloning_fidelity, flux_readout
-from .pauli import PauliString, _dense, _terms_sparse
+from .pauli import PauliString, _closure, _dense, _terms_sparse, _words
 from .states import (
     DENSE_QUBIT_CAP,
     BlochVector,
@@ -56,7 +57,8 @@ class SpinHamiltonian:
                 raise ValueError("couplings must be real")
             if s.phase not in (1, -1):
                 raise ValueError(f"terms must be Hermitian words (phase +-1), got phase {s.phase}")
-        object.__setattr__(self, "_eig", {})  # sector label -> `_sector`'s solve, filled on first touch
+        object.__setattr__(self, "_eig", {})  # smallest basis index -> `_component`'s solve, filled on first touch
+        object.__setattr__(self, "_home", np.full(1 << self.n_qubits, -1))  # basis state -> its `_eig` key, or -1
 
     @classmethod
     def heisenberg_chain(cls, n_qubits: int, J: float, lam: float) -> "SpinHamiltonian":
@@ -78,60 +80,55 @@ class SpinHamiltonian:
             terms.append((coupling, PauliString.from_label(n, f"Y{i}Y{i + 1}")))
         return cls(n, tuple(terms))
 
-    def _sparse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """H as COO triplets (rows, cols, vals), assembled by `pauli._terms_sparse`."""
-        return _terms_sparse(self.n_qubits, [(s.x_mask, s.z_mask, c * s.phase) for c, s in self.terms])
-
     def to_matrix(self) -> np.ndarray:
-        return _dense(self.n_qubits, self._sparse())
+        return _dense(self.n_qubits, _terms_sparse(self.n_qubits, self._terms))
 
-    def _partition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(sector label of every basis state, rows, cols, vals) of H, cached.
+    @property
+    def _terms(self) -> list[tuple[int, int, complex]]:
+        return [(s.x_mask, s.z_mask, c * s.phase) for c, s in self.terms]
 
-        The sectors are the popcounts (excitation numbers) when no nonzero
-        entry of H couples different popcounts, else the whole space as one
-        sector 0.
-        """
-        cached = getattr(self, "_sectors", None)
-        if cached is None:
-            rows, cols, vals = self._sparse()
-            sector = np.bitwise_count(np.arange(1 << self.n_qubits))
-            if not np.array_equal(sector[rows], sector[cols]):
-                sector = np.zeros_like(sector)
-            cached = (sector, rows, cols, vals)
-            object.__setattr__(self, "_sectors", cached)
-        return cached
+    @cached_property
+    def _word_sum(self):
+        """H's words grouped for `pauli._word_entries`, listed on first use."""
+        return _words(self._terms)
 
-    def _sector(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(basis indices, eigenvalues, eigenvectors) of sector k, diagonalized on first use and cached.
-
-        A block with no imaginary entry is diagonalized as real.
-        """
-        if k not in self._eig:
-            sector, rows, cols, vals = self._partition()
-            idx = np.flatnonzero(sector == k)
-            sel = sector[rows] == k
-            entries = vals[sel] if vals[sel].imag.any() else vals[sel].real
+    def _component(self, ket: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(basis indices, eigenvalues, eigenvectors) of the component of basis state `ket`, its closure under
+        H's words, diagonalized on first use (as real if no entry is imaginary) and cached by its smallest index."""
+        key = int(self._home[ket])
+        if key < 0:
+            idx, rows, cols, vals = _closure(self.n_qubits, self._word_sum, ket)
+            entries = vals if vals.imag.any() else vals.real
             B = np.zeros((idx.size, idx.size), dtype=entries.dtype)
-            B[np.searchsorted(idx, rows[sel]), np.searchsorted(idx, cols[sel])] = entries
+            B[np.searchsorted(idx, rows), np.searchsorted(idx, cols)] = entries
             if not (np.abs(B - B.conj().T).max() <= 1e-12):
                 raise AssertionError("Hamiltonian is not Hermitian")
-            self._eig[k] = (idx, *np.linalg.eigh(B))
-        return self._eig[k]
+            key = int(idx[0])
+            self._eig[key] = (idx, *np.linalg.eigh(B))
+            self._home[idx] = key
+        return self._eig[key]
+
+    def _components(self, touched: np.ndarray):
+        """`_component` of each component holding a basis state of the boolean mask `touched`, once each,
+        in the order of their first touched states."""
+        pending = touched.copy()
+        while pending.any():
+            idx, w, V = self._component(int(pending.argmax()))
+            pending[idx] = False
+            yield idx, w, V
 
     def _eigensystem(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """`_sector` of every sector, in label order."""
-        return tuple(self._sector(k) for k in range(int(self._partition()[0].max()) + 1))
+        """`_component` of every component, in order of smallest basis index."""
+        return tuple(self._components(np.ones(1 << self.n_qubits, dtype=bool)))
 
 
 def _propagate(h: SpinHamiltonian, t: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """exp(-iHt_k) of kets (m, 2^n) at every time t_k, as (K, m, 2^n): per sector the kets touch, one
-    projection, one (times x sector) phase product and one matmul back, all stacked matrix-vector products
-    (a first BLAS gemm call would add about 0.4 MB to a dense run's peak RSS).  Sectors the kets miss are
-    never diagonalized."""
+    """exp(-iHt_k) of kets (m, 2^n) at every time t_k, as (K, m, 2^n): per component the kets touch, one
+    projection, one (times x component) phase product and one matmul back, all stacked matrix-vector
+    products (a first BLAS gemm call would add about 0.4 MB to a dense run's peak RSS).  Components the
+    kets miss are never found or diagonalized."""
     out = np.zeros((t.size * len(kets), kets.shape[1]), dtype=complex)  # rows (time, ket)
-    for k in np.flatnonzero(np.bincount(h._partition()[0][kets.any(axis=0)])).tolist():
-        idx, w, V = h._sector(k)
+    for idx, w, V in h._components(kets.any(axis=0)):
         part = kets[:, idx]
         coeffs = np.exp(-1j * t[:, None, None] * w) * (V.conj().T @ part[..., None])[..., 0]
         out[:, idx] = (V @ coeffs.reshape(-1, idx.size, 1))[..., 0]

@@ -309,6 +309,8 @@ def run_open_flux(params, seed):
         spec, t_grid, params["input_qubit"], register, params["target_qubit"]
     )
     extra = {"time_units": "absolute t; damping, dephasing, and J are rates per unit t"}
+    # the set sizes of the units |0><0|, |1><1| and |0><1|, in the order `_reachable` cached them
+    extra["cost.reachable_coordinates"] = ",".join(str(c.size) for c, _, _ in vars(spec)["_blocks"].values())
     return [TableOutput("open-flux", {"t": t_grid, **_flux_columns(fluxes)}, extra)]
 
 

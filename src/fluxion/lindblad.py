@@ -1,14 +1,11 @@
 """Markovian open-system evolution for small registers.
 
 Standard-form Lindblad generator with per-qubit amplitude damping (optionally
-thermal) and pure dephasing.  `_generator` builds the generator S once per
-spec and qubit count, as one sparse CSR matrix on the row-major vec(rho), and
-caches it on the spec.  S is a sum of 2n-qubit Pauli words, which
-`_generator_pieces` lists and `pauli._terms_sparse` sums into COO triplets
-with no stored zero, as for every other operator matrix.  The `csr_array`
-calls of `_generator` and `_reachable` and the CSR kernel of `solve_ivp` are
-the package's only `scipy.sparse` use, so no other engine loads it.  The
-dense superoperator S is checked against, `superoperator` in
+thermal) and pure dephasing, on the row-major vec(rho).  S is a sum of
+2n-qubit Pauli words, which `_generator_pieces` lists, and is never built on
+all 4^n coordinates.  The `csr_array` call of `_reachable` and the CSR kernel
+of `solve_ivp` are the package's only `scipy.sparse` use, so no other engine
+loads it.  The dense superoperator S is checked against, `superoperator` in
 tests/oracles.py, builds all its pieces independently from 2x2 matrices.
 `_partial_trace` is the one partial trace of a density matrix.
 
@@ -22,13 +19,14 @@ the kernel behind `S @ v`, adding S v into a preallocated buffer.  That kernel
 is private: tests/test_lindblad.py pins what it does.  It exists at the
 `scipy>=1.13` floor, but the tests have only been run on scipy 1.17.
 `_evolve` integrates only the coordinates `_reachable` from the support of the
-initial operator: the closure of that support under S's stored pattern, on
-which S[rest, set] == 0, so every other coordinate stays exactly 0 and the
+initial operator: `pauli._closure` of that support under S's words, on which
+S[rest, set] == 0, so every other coordinate stays exactly 0 and the
 restriction is exact.  No symmetry is named; the closure finds by itself that
 S conserves Delta = (ket excitations) - (bra excitations) (Buca & Prosen, New
 J. Phys. 14, 073007 (2012)) and, at n_bar = 0, that the jumps only lower
-excitations.  The restricted S and its own infinity-norm are cached on the
-spec with S, one entry per set, shared by every support that closes onto it.
+excitations.  S on the set, built from the entries the closure collects, and
+its own infinity-norm are cached on the spec, one entry per set, shared by
+every support that closes onto it.
 `open_flux_trajectory` reads the flux at every grid time from three evolved
 operator units of the input qubit, |0><0|, |1><1| and |0><1| (|1><0| is the
 adjoint of the evolved |0><1|); the two diagonal units pass the
@@ -48,7 +46,7 @@ import numpy as np
 from .chain import _grid_1d
 from .dense import SpinHamiltonian
 from .flux import FluxMatrix, flux_readout
-from .pauli import PauliObservable, PauliString, _terms_sparse, qubit_mask
+from .pauli import PauliObservable, PauliString, _closure, _words, qubit_mask
 from .states import RegisterState, input_kets
 
 OPEN_QUBIT_CAP = 8
@@ -127,7 +125,8 @@ def _sandwich(n: int, a, b, scale: complex = 1.0):
 
 
 def _generator_pieces(spec: LindbladSpec, n: int):
-    """COO triplets of S from its 2n-qubit words, each word's coefficients summed and zero sums left out.
+    """The 2n-qubit words (x_mask, z_mask, coefficient) of S, each word's coefficients summed and zero sums
+    left out: S = -i(H x I - I x H^T) + sum_L L x L* - (K x I + I x K^T)/2 on the row-major vec(rho).
 
     The jumps per qubit are sigma- = (X + iY)/2, sigma+ = (X - iY)/2 and Z,
     scaled by the square roots of their rates; H and K are Hermitian, so rho H = rho H^dag.
@@ -135,7 +134,7 @@ def _generator_pieces(spec: LindbladSpec, n: int):
     h = spec.hamiltonian
     if h is not None and h.n_qubits != n:
         raise ValueError("Hamiltonian qubit count mismatch")
-    H = [] if h is None else [(s.x_mask, s.z_mask, c * s.phase) for c, s in h.terms]
+    H = [] if h is None else h._terms
     eye = [(0, 0, 1.0)]
     masks = [qubit_mask(n, q) for q in range(1, n + 1)]
     lower = np.sqrt(spec.damping_rate * (spec.n_bar + 1))
@@ -155,22 +154,7 @@ def _generator_pieces(spec: LindbladSpec, n: int):
     merged: dict[tuple[int, int], complex] = {}
     for x, z, c in words:
         merged[x, z] = merged.get((x, z), 0) + c
-    return _terms_sparse(2 * n, [(x, z, c) for (x, z), c in merged.items() if c != 0])
-
-
-def _generator(spec: LindbladSpec, n: int):
-    """S = -i(H x I - I x H^T) + sum_L L x L* - (K x I + I x K^T)/2 on the row-major vec(rho).
-
-    Built on the first call for each n and stored on the frozen spec, so every
-    later integration with that spec reuses it.
-    """
-    generators = vars(spec).setdefault("_generators", {})
-    if n not in generators:
-        rows, cols, vals = _generator_pieces(spec, n)
-        from scipy import sparse
-
-        generators[n] = sparse.csr_array((vals, (rows, cols)), shape=(1 << 2 * n,) * 2)
-    return generators[n]
+    return [(x, z, c) for (x, z), c in merged.items() if c != 0]
 
 
 def solve_ivp(S, t_span, y0, bound: float) -> Integration:
@@ -211,45 +195,32 @@ def solve_ivp(S, t_span, y0, bound: float) -> Integration:
 
 
 def _reachable(spec: LindbladSpec, n: int, support: np.ndarray):
-    """(coordinates, S on them, its infinity-norm) for the closure of `support` under S's pattern.
+    """(coordinates, S on them, its infinity-norm) for `pauli._closure` of `support` under S's words.
 
     The closure is the least set of vec(rho) coordinates holding every row in
-    which a column of the set stores an entry, so S[rest, set] == 0 and an
-    operator supported on the set stays on it.  A support inside a set already
-    found is closed on that set's block, whose pattern is S's on the set,
-    rather than on the whole of S.  Cached on the frozen spec, like the
-    generator, by qubit count and support; supports that close onto the same
-    set share one entry.
+    which a column of the set has an entry, so S[rest, set] == 0 and an
+    operator supported on the set stays on it.  S's words are listed once per
+    spec and qubit count, and the entries by support, both cached on the
+    frozen spec; supports that close onto the same set share one entry.
     """
+    words = vars(spec).setdefault("_words", {})  # n -> S's words
     blocks = vars(spec).setdefault("_blocks", {})  # (n, support) -> (coords, block, bound)
-    sets = vars(spec).setdefault("_sets", {}).setdefault(n, {})  # coords -> the same entries, one per set
+    sets = vars(spec).setdefault("_sets", {})  # (n, coords) -> the same entries, one per set
     key = (n, support.tobytes())
     if key not in blocks:
-        outer, S, start = None, _generator(spec, n), support
-        for coords, block, _ in sets.values():
-            position = np.zeros(S.shape[0], dtype=block.indices.dtype)
-            position[coords] = np.arange(1, coords.size + 1, dtype=block.indices.dtype)
-            if position[support].all():  # every coordinate of the support is in this closed set
-                outer, S, start = coords, block, position[support] - 1
-                break
-        rows = np.repeat(np.arange(S.shape[0], dtype=S.indices.dtype), np.diff(S.indptr))
-        reached = np.zeros(S.shape[0], dtype=bool)
-        reached[start] = True
-        while not reached[hit := rows[reached[S.indices]]].all():
-            reached[hit] = True
-        inner = np.flatnonzero(reached)
-        coords = inner if outer is None else outer[inner]
-        if coords.tobytes() not in sets:
-            keep = reached[S.indices]  # an entry's row is reached whenever its column is
-            position = np.zeros(S.shape[0], dtype=S.indices.dtype)
-            position[inner] = np.arange(inner.size, dtype=S.indices.dtype)
-            r, c, v = position[rows[keep]], position[S.indices[keep]], S.data[keep]
+        if n not in words:
+            words[n] = _words(_generator_pieces(spec, n))
+        coords, rows, cols, vals = _closure(2 * n, words[n], support)
+        if (n, coords.tobytes()) not in sets:
+            position = np.zeros(1 << 2 * n, dtype=np.int32)
+            position[coords] = np.arange(coords.size, dtype=np.int32)
             from scipy import sparse
 
-            block = sparse.csr_array((v, (r, c)), shape=(inner.size,) * 2)
-            bound = float(np.bincount(r, np.abs(v), inner.size).max(initial=0.0))
-            sets[coords.tobytes()] = coords, block, bound
-        blocks[key] = sets[coords.tobytes()]
+            block = sparse.csr_array((vals, (position[rows], position[cols])), shape=(coords.size,) * 2)
+            row_of = np.repeat(np.arange(coords.size), np.diff(block.indptr))
+            bound = float(np.bincount(row_of, np.abs(block.data), coords.size).max(initial=0.0))
+            sets[n, coords.tobytes()] = coords, block, bound
+        blocks[key] = sets[n, coords.tobytes()]
     return blocks[key]
 
 

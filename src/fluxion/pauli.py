@@ -7,15 +7,17 @@ explicit phase in {1, i, -1, -i}; a qubit with both mask bits set carries
 Y = i X Z.  Phase +-1 therefore means the operator is Hermitian.
 
 Every word is a signed permutation matrix, row r to column r ^ x_mask.
-`_signed_permutation` is the one index/sign kernel: both `apply` methods
-gather through it, and `_terms_sparse`, the one place an operator matrix is
-assembled (the 2n-qubit Lindblad generator included), sums the words of each
-x_mask into canonical COO triplets; `_dense` writes them into an array.
+`_word_entries` is the one index/sign kernel, on given rows of a sum grouped
+by `_words`: both `apply` methods gather through it, `_terms_sparse` runs it
+on every row (the one full operator matrix, which `_dense` writes out), and
+`_closure` runs it breadth first from a support: the dense engine's
+components and the open engine's reachable vec(rho) coordinates.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,40 +39,70 @@ def qubit_mask(n_qubits: int, qubit: int) -> int:
     return 1 << (n_qubits - qubit)
 
 
-def _signed_permutation(n_qubits: int, x_mask: int, z_mask: int, coefficient: complex):
-    """Column index and value of each row of coefficient * i^{|x & z|} X^x Z^z."""
-    idx = np.arange(1 << n_qubits) ^ x_mask
-    signs = 1 - 2 * (np.bitwise_count(idx & z_mask).astype(np.int64) & 1)
-    return idx, (coefficient * PHASES[(x_mask & z_mask).bit_count() % 4]) * signs
+# x_mask groups in order of first appearance, words in term order within each; vals holds
+# coefficient * i^{|x & z|}, and a word's sign on column c is (-1)^{|c & z| + flips}
+Words = namedtuple("Words", "x z vals flips starts")
+
+
+def _words(terms) -> Words:
+    """The `Words` of a sum of (x_mask, z_mask, coefficient) words."""
+    groups: dict[int, list] = {}
+    for x_mask, z_mask, coefficient in terms:
+        groups.setdefault(x_mask, []).append((z_mask, coefficient * PHASES[(x_mask & z_mask).bit_count() % 4]))
+    x = np.array([x_mask for x_mask, group in groups.items() for _ in group], dtype=np.int64)
+    z = np.array([z_mask for group in groups.values() for z_mask, _ in group], dtype=np.int64)
+    vals = np.array([c for group in groups.values() for _, c in group], dtype=complex)
+    starts = np.cumsum([0] + [len(group) for group in groups.values()])[:-1]
+    return Words(x, z, vals, np.zeros(x.size, dtype=np.int64), starts)
+
+
+def _word_entries(words: Words, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, vals) of a word sum on the given rows, each of shape (x_mask groups, rows).
+
+    Each group's words are summed by `np.add.reduceat` in term order before any caller reads the pattern:
+    XX and YY each couple |00> and |11>; only their sum cancels.  Signs are int64, whose ufunc loops a run
+    has already paged in; int8 signs and bool comparisons here cost 0.3 MB of RSS for their code pages.
+    """
+    cols = rows ^ words.x[:, None]
+    signs = 1 - 2 * ((np.bitwise_count(cols & words.z[:, None]).astype(np.int64) + words.flips[:, None]) & 1)
+    return cols[words.starts], np.add.reduceat(words.vals[:, None] * signs, words.starts, axis=0)
 
 
 def _terms_sparse(n_qubits: int, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major COO triplets (rows, cols, vals) of a sum of (x_mask, z_mask, coefficient) words.
-
-    Words are grouped by x_mask, which fixes the pattern, one group at a time.
-    Each entry's words are summed by `np.add.reduceat` in term order, each
-    row's columns sorted and exact zeros dropped, so the triplets equal scipy's
-    COO `sum_duplicates()` then `eliminate_zeros()` bit for bit.  XX and YY each
-    couple |00> and |11>: only their sum, taken before the pattern is read, cancels.
-    """
-    dim = 1 << n_qubits
-    groups: dict[int, list] = {}
-    for x_mask, z_mask, coefficient in terms:
-        groups.setdefault(x_mask, []).append((z_mask, coefficient))
-    # int32 indices, as scipy picks for a matrix of this size
-    cols = np.empty((len(groups), dim), dtype=np.int32)
-    vals = np.empty((len(groups), dim), dtype=complex)
-    for g, (x_mask, words) in enumerate(groups.items()):
-        stacked = np.empty((len(words), dim), dtype=complex)
-        for k, (z_mask, coefficient) in enumerate(words):
-            cols[g], stacked[k] = _signed_permutation(n_qubits, x_mask, z_mask, coefficient)
-        vals[g] = np.add.reduceat(stacked.T.ravel(), np.arange(0, stacked.size, len(words)))
-    order = np.argsort(cols.T, axis=1)
-    cols = np.take_along_axis(cols.T, order, axis=1).ravel()
-    vals = np.take_along_axis(vals.T, order, axis=1).ravel()
-    rows = np.repeat(np.arange(dim, dtype=np.int32), len(groups))
+    """Row-major COO triplets (rows, cols, vals) of a sum of (x_mask, z_mask, coefficient) words: `_word_entries`
+    on every row, columns sorted and exact zeros dropped, bit for bit scipy's canonical COO of the words."""
+    rows = np.arange(1 << n_qubits, dtype=np.int32)  # int32 indices, as scipy picks for a matrix of this size
+    cols, vals = (a.T for a in _word_entries(_words(terms), rows))
+    order = np.argsort(cols, axis=1)
+    cols, vals = (np.take_along_axis(a, order, axis=1).ravel() for a in (cols, vals))
     keep = vals != 0
-    return rows[keep], cols[keep], vals[keep]
+    return np.repeat(rows, order.shape[1])[keep], cols[keep].astype(np.int32), vals[keep]
+
+
+def _closure(n_qubits: int, words: Words, support) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(set, rows, cols, vals): the least set of basis states holding `support` and every row in
+    which the sum has an entry from a column of the set, and all the sum's entries in its columns.
+
+    A breadth-first search over the transpose's words, (X^x Z^z)^T = (-1)^{|x & z|} X^x Z^z
+    with the sign kept as a flip, so each entry equals the full-space triplet bit for bit.
+    Each state is evaluated once, when it joins the frontier.
+    """
+    transpose = words._replace(flips=words.flips + np.bitwise_count(words.x & words.z).astype(np.int64))
+    reached = np.zeros(1 << n_qubits, dtype=bool)
+    reached[support] = True
+    frontier = np.flatnonzero(reached)
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, complex))]
+    while frontier.size:
+        rows, vals = _word_entries(transpose, frontier)
+        keep = vals != 0
+        parts.append((rows[keep], frontier[np.nonzero(keep)[1]], vals[keep]))
+        hit = np.zeros_like(reached)
+        hit[parts[-1][0]] = True
+        hit[reached] = False
+        frontier = np.flatnonzero(hit)
+        reached[frontier] = True
+    rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+    return np.flatnonzero(reached), rows, cols, vals
 
 
 def _dense(n_qubits: int, triplets) -> np.ndarray:
@@ -145,8 +177,8 @@ class PauliString:
         """Apply to a dense state vector (length 2^n)."""
         if amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError("state dimension mismatch")
-        idx, vals = _signed_permutation(self.n_qubits, self.x_mask, self.z_mask, self.phase)
-        return vals * amplitudes[idx]
+        cols, vals = _word_entries(_words([(self.x_mask, self.z_mask, self.phase)]), np.arange(amplitudes.size))
+        return vals[0] * amplitudes[cols[0]]
 
     def to_matrix(self) -> np.ndarray:
         return _dense(self.n_qubits, _terms_sparse(self.n_qubits, [(self.x_mask, self.z_mask, self.phase)]))
@@ -184,11 +216,8 @@ class PauliObservable:
         dim = 1 << self.n_qubits
         if amplitudes.shape != (dim,):
             raise ValueError("state dimension mismatch")
-        out = np.zeros(dim, dtype=complex)
-        for (x, z), coeff in self.terms.items():
-            idx, vals = _signed_permutation(self.n_qubits, x, z, coeff)
-            out += vals * amplitudes[idx]
-        return out
+        cols, vals = _word_entries(_words((x, z, c) for (x, z), c in self.terms.items()), np.arange(dim))
+        return (vals * amplitudes[cols]).sum(axis=0)
 
     def to_matrix(self) -> np.ndarray:
         terms = ((x, z, c) for (x, z), c in self.terms.items())

@@ -13,8 +13,8 @@ from scipy import sparse
 from scipy.optimize import least_squares, minimize
 
 from fluxion.clifford import CliffordCircuit, Gate, _PreparationProblem
-from fluxion.lindblad import DensityMatrix, LindbladSpec
-from fluxion.pauli import _signed_permutation
+from fluxion.lindblad import DensityMatrix, LindbladSpec, _generator_pieces
+from fluxion.pauli import _terms_sparse
 
 _GATE_MATRICES = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -49,6 +49,13 @@ def _gate_unitary(gate: Gate, n: int) -> np.ndarray:
     return embed(_GATE_MATRICES[gate.name], gate.qubits[0], n)
 
 
+def signed_permutation(n_qubits: int, x_mask: int, z_mask: int, coefficient: complex):
+    """Column index and value of each row of the word coefficient * i^{|x & z|} X^x Z^z, signed on the column."""
+    cols = np.arange(1 << n_qubits) ^ x_mask
+    signs = 1 - 2 * (np.bitwise_count(cols & z_mask).astype(np.int64) & 1)
+    return cols, (coefficient * (1 + 0j, 1j, -1 + 0j, -1j)[(x_mask & z_mask).bit_count() % 4]) * signs
+
+
 def canonical_coo(n_qubits: int, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, cols, vals) of a sum of (x_mask, z_mask, coefficient) words, canonicalized by scipy.
 
@@ -56,7 +63,7 @@ def canonical_coo(n_qubits: int, terms) -> tuple[np.ndarray, np.ndarray, np.ndar
     `coo_array.sum_duplicates()` and `eliminate_zeros()`.
     """
     dim = 1 << n_qubits
-    parts = [_signed_permutation(n_qubits, x, z, c) for x, z, c in terms]
+    parts = [signed_permutation(n_qubits, x, z, c) for x, z, c in terms]
     rows = np.tile(np.arange(dim, dtype=np.int32), len(parts))
     cols = np.concatenate([np.empty(0, dtype=np.int32), *(idx for idx, _ in parts)]).astype(np.int32)
     vals = np.concatenate([np.empty(0, dtype=complex), *(v for _, v in parts)])
@@ -64,6 +71,12 @@ def canonical_coo(n_qubits: int, terms) -> tuple[np.ndarray, np.ndarray, np.ndar
     M.sum_duplicates()
     M.eliminate_zeros()
     return M.row, M.col, M.data
+
+
+def full_generator(spec: LindbladSpec, n_qubits: int) -> sparse.csr_array:
+    """The Lindblad generator S on all 4^n vec(rho) coordinates, from its words, as a CSR array."""
+    rows, cols, vals = _terms_sparse(2 * n_qubits, _generator_pieces(spec, n_qubits))
+    return sparse.csr_array((vals, (rows, cols)), shape=(1 << 2 * n_qubits,) * 2)
 
 
 def circuit_unitary(circuit: CliffordCircuit) -> np.ndarray:

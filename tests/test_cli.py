@@ -262,6 +262,19 @@ def test_dense_sidecars_carry_eigensolve_cost(tmp_path):
             assert fh.readline().rstrip("\n") == columns
 
 
+def test_open_flux_sidecars_carry_reachable_coordinates(tmp_path):
+    """Both shipped open-flux configs record the coordinate count of each unit's reachable set, in
+    the order |0><0|, |1><1|, |0><1|.  The sets do not depend on the grid, so one time suffices."""
+    common = {"experiment", "seed", "version", "wall_time_s", "created_utc", "time_units"}
+    for name, sizes in (("open-flux", "1,2,1"), ("open-flux-8q", "12870,12870,11440")):
+        config = load_config(str(CONFIGS / f"{name}.ini"), "open-flux")
+        config.parameters["t_max"] = config.parameters["t_min"]
+        data, meta_path = run(config, out_dir=str(tmp_path / name))
+        meta = _read_meta(meta_path)
+        assert set(meta) == common | {f"param.{k}" for k in config.parameters} | {"cost.reachable_coordinates"}
+        assert meta["cost.reachable_coordinates"] == sizes
+
+
 def test_tracer_counts_rows_and_open_grid_span():
     """The benchmark's tracer counts the rows of every output and reads open-flux's
     grid span off its first column; on four shipped configs it reads 6 + 7 + (1201 + 200)

@@ -1,5 +1,6 @@
 import collections
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from fluxion.states import (
     psi_plus_state,
     reduced_qubit,
 )
-from oracles import purity, superoperator
+from oracles import full_generator, purity, superoperator
 
 
 def plus_density():
@@ -84,9 +85,8 @@ def test_spec_validation():
         for rates in ((bad, 0.0), (0.1, bad), (0.1, 0.0, bad)):
             with pytest.raises(ValueError, match="finite"):
                 LindbladSpec(*rates)
-    # zero rates and no Hamiltonian: S = 0, with no stored entry
-    for triplet in lindblad._generator_pieces(LindbladSpec(0.0, 0.0), 1):
-        assert triplet.size == 0
+    # zero rates and no Hamiltonian: S = 0, with no word
+    assert lindblad._generator_pieces(LindbladSpec(0.0, 0.0), 1) == []
 
 
 def test_damping_population_law():
@@ -277,7 +277,7 @@ def test_sparse_generator_matches_superoperator(case, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     vec = (a + a.conj().T).ravel()
-    S = lindblad._generator(spec, n)
+    S = full_generator(spec, n)
     assert np.abs(S @ vec - superoperator(spec, n) @ vec).max() < 1e-12
 
 
@@ -386,7 +386,7 @@ def test_taylor_steps_fixed_by_norm_bound(monkeypatch, kernel_calls):
     assert kernel_calls == {4: 90, 2: 90}  # |+><+| reaches all of vec(rho), |1><1| only itself and |0><0|
 
     kernel_calls.clear()
-    S = lindblad._generator(spec, 1)
+    S = full_generator(spec, 1)
     assert original(S, (0.0, 10.0), np.ones(4, complex), 1.0).nfev == kernel_calls[4] == 90
 
 
@@ -442,7 +442,7 @@ def test_horner_steps_match_forward_taylor_sum():
     random one-step cases, so 1e-14 bounds their rounding, not a truncation.  At
     bh = TAYLOR_STEP the order is 33, the largest `solve_ivp` takes.
     """
-    S = lindblad._generator(LindbladSpec(1.0, 0.25), 1)
+    S = full_generator(LindbladSpec(1.0, 0.25), 1)
     assert lindblad.solve_ivp(S, (0.0, lindblad.TAYLOR_STEP), np.ones(4, complex), 1.0).nfev == 33
     rng = np.random.default_rng(30)
     for n in (1, 3, 4):
@@ -533,7 +533,7 @@ def test_grid_of_higher_rank_rejected_before_integration(integrations):
 def test_generator_stores_exactly_its_nonzeros(rates):
     """S keeps no stored zero, so its pattern is the dense generator's nonzero pattern."""
     spec = LindbladSpec(*rates, hamiltonian=SpinHamiltonian.heisenberg_chain(3, 0.6, 1.2))
-    S = lindblad._generator(spec, 3)
+    S = full_generator(spec, 3)
     assert (S.data != 0).all()
     assert S.nnz == np.count_nonzero(superoperator(spec, 3))
 
@@ -632,7 +632,7 @@ def test_generator_entries_conserve_excitation_difference(n_bar):
         for _ in range(6):
             h = SpinHamiltonian.xy_chain(CouplingProfile(n, rng.uniform(-1.5, 1.5, n - 1))) if n > 1 else None
             spec = LindbladSpec(*(rate * rng.uniform(0.95, 1.05) for rate in (0.1, 0.05, n_bar)), h)
-            S = lindblad._generator(spec, n).tocoo()
+            S = full_generator(spec, n).tocoo()
             assert (delta[S.row] == delta[S.col]).all()
 
 
@@ -642,7 +642,7 @@ def test_reachable_sets_closed_and_exact(monkeypatch, n, n_bar):
     """Each unit's set is closed under the full S, and the flux equals a full-space integration."""
     spec = LindbladSpec(0.1, 0.05, n_bar, SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(n, 1.0, 1.0)))
     register = RegisterState.computational(n - 1, 0)
-    S = lindblad._generator(spec, n)
+    S = full_generator(spec, n)
     stored = S.tocoo()
     k0, k1 = input_kets(register, 1)
     for a, b in ((k0, k0), (k1, k1), (k0, k1)):  # the units |0><0|, |1><1| and |0><1|
@@ -693,8 +693,8 @@ def test_units_closing_onto_one_set_share_its_block(monkeypatch, kernel_calls):
     """5 qubits at n_bar = 0.2: |0><0| and |1><1| of a |0...0> register both close onto the
     252 coordinates of Delta = 0, and |0><1| onto the 210 of Delta = -1.
 
-    |1><1| lies inside the set |0><0| closed first, so it is closed on that set's block and gets
-    the very same entry; the products are those of integrating each unit on its own set.
+    |1><1| closes onto the set |0><0| closed first and gets the very same entry; the products are
+    those of integrating each unit on its own set.
     """
     entries = []
     original = lindblad._reachable
@@ -711,3 +711,23 @@ def test_units_closing_onto_one_set_share_its_block(monkeypatch, kernel_calls):
     assert S11 is S00
     assert kernel_calls == {252: 2 * 363, 210: 384}
 
+
+
+def test_no_flux_run_assembles_a_full_space_operator(monkeypatch):
+    """Both engines work from the closure of the inputs' support under the words of S or H;
+    `pauli._terms_sparse`, the one full-space assembly, is never called by a flux run."""
+    import fluxion.pauli
+
+    def refuse(*args):
+        raise AssertionError("a flux run assembled a full-space operator")
+
+    original = fluxion.pauli._terms_sparse
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fluxion" and getattr(module, "_terms_sparse", None) is original:
+            monkeypatch.setattr(module, "_terms_sparse", refuse)
+    h = SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(6, 1.0, 1.0))
+    fluxes = open_flux_trajectory(LindbladSpec(0.1, 0.05, 0.2, h), [0.0, 0.5], 1, RegisterState.computational(5, 0), 6)
+    assert np.isfinite([fm.entries for fm in fluxes]).all()
+    profile = CouplingProfile(10, np.linspace(0.5, 1.5, 9))
+    fm = flux_tomography(SpinHamiltonian.xy_chain(profile), 1.7, 1, RegisterState.computational(9, 0), 10)
+    assert np.abs(fm.entries - flux_components(transfer_amplitude(profile, 1.7), 10, 1.7).entries).max() < 1e-9

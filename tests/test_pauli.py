@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluxion.pauli import PauliObservable, PauliString, _terms_sparse, expectation, qubit_mask
+from fluxion.pauli import PauliObservable, PauliString, _closure, _terms_sparse, _words, expectation, qubit_mask
 from fluxion.states import RegisterState
 from oracles import canonical_coo
 
@@ -125,6 +125,37 @@ def test_terms_sparse_matches_scipy_canonical_coo(case):
     for g, want in zip(got, canonical_coo(n, terms), strict=True):
         assert g.dtype == want.dtype
         assert g.tobytes() == want.tobytes()
+
+
+@st.composite
+def closure_cases(draw):
+    """(n, terms, support): a `pauli_sums` draw and up to four distinct basis states."""
+    n, terms = draw(pauli_sums())
+    return n, terms, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4, unique=True))
+
+
+# oracle for the closure: a fixpoint over the full-space pattern of the same sum
+@settings(max_examples=200, deadline=None)
+@given(closure_cases())
+@example((2, [(3, 0, 1.0), (3, 3, 1.0)], [1]))  # XX + YY from |01>: {|01>, |10>}, never |00> or |11>
+@example((1, [(1, 0, 1.0), (1, 1, 1j)], [0]))  # X + iY = 2|0><1| leads from |1> to |0> only
+def test_closure_is_least_closed_set_with_full_space_entries(case):
+    n, terms, support = case
+    reached, rows, cols, vals = _closure(n, _words(terms), np.array(support, dtype=np.int64))
+    full_rows, full_cols, full_vals = _terms_sparse(n, terms)
+    inside = np.zeros(1 << n, dtype=bool)
+    inside[reached] = True
+    assert inside[support].all()
+    assert not (inside[full_cols] & ~inside[full_rows]).any()  # no entry from a set column into a row outside
+    least = np.zeros(1 << n, dtype=bool)
+    least[support] = True
+    while not least[hit := full_rows[least[full_cols]]].all():
+        least[hit] = True
+    assert np.array_equal(inside, least)
+    order = np.lexsort((cols, rows))  # the full triplets are row-major with sorted columns
+    in_set = inside[full_cols]
+    assert np.array_equal(rows[order], full_rows[in_set]) and np.array_equal(cols[order], full_cols[in_set])
+    assert vals[order].tobytes() == full_vals[in_set].tobytes()
 
 
 def test_apply_matches_matrix():

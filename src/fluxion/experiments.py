@@ -311,6 +311,7 @@ def run_open_flux(params, seed):
     extra = {"time_units": "absolute t; damping, dephasing, and J are rates per unit t"}
     # the set sizes of the units |0><0|, |1><1| and |0><1|, in the order `_reachable` cached them
     extra["cost.reachable_coordinates"] = ",".join(str(c.size) for c, _, _ in vars(spec)["_blocks"].values())
+    extra["cost.generator_products"] = str(vars(spec)["_products"])  # the summed nfev of every `solve_ivp` call
     return [TableOutput("open-flux", {"t": t_grid, **_flux_columns(fluxes)}, extra)]
 
 

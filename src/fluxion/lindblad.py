@@ -9,15 +9,22 @@ loads it.  The dense superoperator S is checked against, `superoperator` in
 tests/oracles.py, builds all its pieces independently from 2x2 matrices.
 `_partial_trace` is the one partial trace of a density matrix.
 
-Every entry point runs through `_evolve`, which integrates each interval of an
-ascending grid of finite times t >= 0 once, by `solve_ivp`: fixed Taylor steps
-of exp(hS) whose number and order the infinity-norm of S certifies before the
-first product (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  Each step is
-evaluated in Horner form, of order at most 33 since bh <= TAYLOR_STEP, and
-each of its products is one call of `scipy.sparse._sparsetools.csr_matvec`,
-the kernel behind `S @ v`, adding S v into a preallocated buffer.  That kernel
-is private: tests/test_lindblad.py pins what it does.  It exists at the
-`scipy>=1.13` floor, but the tests have only been run on scipy 1.17.
+Every entry point runs through `_evolve`, which reads each unit off one
+Taylor lattice anchored at t = 0 (Moler & Van Loan, SIAM Rev. 45, 3 (2003);
+Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)): steps of h =
+TAYLOR_STEP / b, b the infinity-norm of S, so every step is certified at the
+order 33 before the first product.  `solve_ivp` writes the forward terms
+(hS)^j y_k of the current step into zeroed rows of one 34 x d array, each by
+one call of `scipy.sparse._sparsetools.csr_matvec`, the kernel behind `S @ v`;
+a whole step sums them into the next lattice state, and a grid time t inside
+the step is sum_j s^j/j! (hS)^j y_k at s = t/h - k, to the least order
+certified at s b h, in Horner form in s.  So a grid time costs only the terms
+no earlier time of its step made.  That kernel is private: tests/test_lindblad.py
+pins what it does.  It exists at the `scipy>=1.13` floor, but the tests have
+only been run on scipy 1.17.  The spec keeps each unit's last lattice state,
+from which a later call resumes; a lattice state does not depend on the path
+to it, so every result is the same function of (spec, unit, t) whatever the
+calls before.
 `_evolve` integrates only the coordinates `_reachable` from the support of the
 initial operator: `pauli._closure` of that support under S's words, on which
 S[rest, set] == 0, so every other coordinate stays exactly 0 and the
@@ -157,41 +164,94 @@ def _generator_pieces(spec: LindbladSpec, n: int):
     return [(x, z, c) for (x, z), c in merged.items() if c != 0]
 
 
-def solve_ivp(S, t_span, y0, bound: float) -> Integration:
-    """y(t1) of y' = S y from y(t0) = y0, for a constant CSR S of infinity-norm <= bound.
+def _order(x: float) -> int:
+    """The least Taylor order m whose remainder x^{m+1}/(m+1)! e^x, for a step of norm x, is <= TAYLOR_TOL."""
+    m, remainder = 0, x * math.exp(x)
+    while remainder > TAYLOR_TOL:
+        m += 1
+        remainder *= x / (m + 1)
+    return m
 
-    ceil(bound (t1 - t0) / TAYLOR_STEP) equal steps h, each summing the Taylor series of exp(hS)
-    to the least order m whose remainder (bh)^{m+1}/(m+1)! e^{bh} is <= TAYLOR_TOL.
-    The sum is Horner's w_k = y + (A/k) w_{k+1}, A = hS, from w_{m+1} = y to exp(A) y ~ w_1,
-    carried as v_k = m!/(k-1)! w_k: v_k = (m!/(k-1)!) y + A v_{k+1}, so each stage is one
-    buffer write and one call of scipy's `csr_matvec` kernel, which adds A v_{k+1} into that
-    buffer, and the step ends with w_1 = v_1 / m!.  As bh <= TAYLOR_STEP, m <= 33 and every
-    constant is at most 33! ~ 8.7e36, far from overflow.
+
+TAYLOR_ORDER = _order(TAYLOR_STEP)  # 33, the order of a whole lattice step
+_INVERSE_FACTORIALS = np.array([[1 / math.factorial(j)] for j in range(TAYLOR_ORDER + 1)], dtype=complex)
+
+
+def _place(t: float, bound: float) -> tuple[int, float]:
+    """(k, s) with t = (k + s) h, 0 <= s < 1, on the lattice of steps h = TAYLOR_STEP / bound from t = 0.
+
+    S = 0 (bound 0) leaves every state where it is, in one step that never ends.
+    """
+    if bound == 0:
+        return 0, 0.0
+    q = t / (TAYLOR_STEP / bound)
+    k = math.floor(q)
+    return k, q - k
+
+
+class Lattice:
+    """One unit on its Taylor lattice: the state y_k at t = k h and the forward terms of the step from there.
+
+    Row 0 of `terms` holds y_k and rows 1..order the terms (hS)^j y_k; the rows past `order` are 0, for
+    `csr_matvec` to add the next term into.  `rows` lists the rows as views, so that a product or a read
+    makes none; `hS` is S's data scaled by h, made at the first product.
+    """
+
+    __slots__ = ("k", "order", "terms", "rows", "hS")
+
+    def __init__(self, k: int, y: np.ndarray):
+        self.k, self.order, self.hS = k, 0, None
+        self.terms = np.zeros((TAYLOR_ORDER + 1, y.size), dtype=complex)
+        self.terms[0] = y
+        self.rows = list(self.terms)
+
+
+def _read(rows: list, s: float, m: int) -> np.ndarray:
+    """sum_{j <= m} s^j/j! rows[j], in a new array, in Horner form in s: rows[0] + s (rows[1] + s/2 (...))."""
+    y = rows[m].copy()
+    for j in range(m, 0, -1):
+        y *= s / j
+        y += rows[j - 1]
+    return y
+
+
+def solve_ivp(S, t_span, lattice: Lattice, bound: float) -> Integration:
+    """y(t1) of y' = S y, for a constant CSR S of infinity-norm <= bound, read off `lattice`, which it advances.
+
+    With (K, s) = `_place(t1, bound)`, the lattice holds some step k <= K.  Each step before K takes all
+    TAYLOR_ORDER terms, scales them by 1/j! in place and sums them into the next lattice state, whose
+    terms start from zeroed rows; y(t1) is sum_j s^j/j! (hS)^j y_K to the least order m with
+    (s bh)^{m+1}/(m+1)! e^{s bh} <= TAYLOR_TOL, in Horner form in s.  Each term is one call of scipy's
+    `csr_matvec`, the kernel behind `S @ v`, adding hS times the term before into its row; terms already
+    on the lattice cost nothing, so nfev counts the products this call made, and a read inside a step
+    whose terms are made costs none.  As bh <= TAYLOR_STEP, every term is at most 4^33 ~ 7.4e19 times
+    the state, far from overflow.  t_span's t0 is where the caller read last; the products depend on
+    the lattice and t1 only.
     """
     from scipy.sparse import _sparsetools
 
-    t0, t1 = t_span
-    steps = max(1, math.ceil(bound * (t1 - t0) / TAYLOR_STEP))
-    h = (t1 - t0) / steps
-    order = 0
-    while (bound * h) ** (order + 1) / math.factorial(order + 1) * math.exp(bound * h) > TAYLOR_TOL:
-        order += 1
-    hS = S.data * h
-    y = y0.astype(complex)
-    matvec, d, indptr, indices = _sparsetools.csr_matvec, y.size, S.indptr, S.indices
-    buffers = np.empty_like(y), np.empty_like(y)
-    stages, scale = [], 1
-    for k in range(order, 0, -1):  # (m!/(k-1)!, the buffer of v_k), alternating between the two
-        scale *= k
-        stages.append((float(scale), buffers[k & 1]))
-    for _ in range(steps):
-        v = y
-        for c, buf in stages:
-            np.multiply(y, c, out=buf)
-            matvec(d, d, indptr, indices, hS, v, buf)
-            v = buf
-        np.divide(v, float(scale), out=y)
-    return Integration(y, steps * order)
+    K, s = _place(t_span[1], bound)
+    if lattice.k > K:
+        raise ValueError(f"the lattice is past t = {t_span[1]}")
+    m = _order(s * TAYLOR_STEP)
+    terms, rows, nfev = lattice.terms, lattice.rows, 0
+    matvec, d, indptr, indices = _sparsetools.csr_matvec, terms.shape[1], S.indptr, S.indices
+    while True:
+        top = TAYLOR_ORDER if lattice.k < K else m
+        if top > lattice.order:
+            if lattice.hS is None:
+                lattice.hS = S.data * (TAYLOR_STEP / bound)
+            hS = lattice.hS
+            for j in range(lattice.order + 1, top + 1):
+                matvec(d, d, indptr, indices, hS, rows[j - 1], rows[j])
+            nfev += top - lattice.order
+            lattice.order = top
+        if lattice.k == K:
+            return Integration(_read(rows, s, m), nfev)
+        terms *= _INVERSE_FACTORIALS  # the whole step: (hS)^j y_k / j!, summed into y_{k+1}
+        terms[0] = terms.sum(axis=0)
+        terms[1:] = 0
+        lattice.k, lattice.order = lattice.k + 1, 0
 
 
 def _reachable(spec: LindbladSpec, n: int, support: np.ndarray):
@@ -227,10 +287,11 @@ def _reachable(spec: LindbladSpec, n: int, support: np.ndarray):
 def _evolve(entries: np.ndarray, spec: LindbladSpec, n: int, t_grid):
     """Yields the operator `entries`, given at t = 0, at every time of an ascending grid.
 
-    Only the coordinates `_reachable` from the support of `entries` are
-    integrated; every other one stays exactly 0.  Each interval between
-    consecutive grid times is integrated once, from the state at the end of
-    the previous one.
+    Only the coordinates `_reachable` from the support of `entries` are integrated; every other one
+    stays exactly 0.  The unit's lattice starts from the last lattice state that a call on this spec
+    reached for the same support, values and set, if it lies at or before the first grid time, else
+    from t = 0.  Lattice states do not depend on the path to them, so every value is the same
+    function of (spec, unit, t) whatever the call history.  Each new grid time is one `solve_ivp` read.
     """
     if n > OPEN_QUBIT_CAP:
         raise ValueError(f"open evolution capped at {OPEN_QUBIT_CAP} qubits")
@@ -240,13 +301,26 @@ def _evolve(entries: np.ndarray, spec: LindbladSpec, n: int, t_grid):
     if not (np.diff(t_grid) >= 0).all():
         raise ValueError("time grid must be ascending")
     flat = entries.ravel()
-    coords, S, bound = _reachable(spec, n, np.flatnonzero(flat))
-    y = flat[coords].astype(complex)
-    start = 0.0
+    support = np.flatnonzero(flat)
+    coords, S, bound = _reachable(spec, n, support)
+    last = vars(spec).setdefault("_lattices", {})  # (n, support, values) -> (coords, k, y_k): the last state reached
+    key = (n, support.tobytes(), flat[support].astype(complex).tobytes())
+    k, state = 0, flat[coords]
+    if key in last and t_grid.size:
+        seen, k_seen, state_seen = last[key]
+        if seen is coords and k_seen <= _place(t_grid[0], bound)[0]:  # the very set `_reachable` keeps
+            k, state = k_seen, state_seen
+    lattice = Lattice(k, state)
+    start = k * TAYLOR_STEP / bound if k else 0.0  # the time of the lattice state
+    y = None
     for t in t_grid:
-        if t > start:
-            y = solve_ivp(S, (start, float(t)), y, bound).y
-            start = float(t)
+        if y is None or t > start:
+            result = solve_ivp(S, (start, float(t)), lattice, bound)
+            y, start = result.y, float(t)
+            vars(spec)["_products"] = vars(spec).get("_products", 0) + result.nfev
+            if lattice.k > k:
+                k = lattice.k
+                last[key] = coords, k, lattice.terms[0].copy()
         rho = np.zeros(flat.size, dtype=complex)
         rho[coords] = y
         yield rho.reshape(entries.shape)
@@ -266,21 +340,23 @@ def open_flux_trajectory(
 ) -> list[FluxMatrix]:
     """FluxMatrix at every time of an ascending grid, read from three evolved input units.
 
-    Each unit is integrated once over the whole grid, and the target's blocks
-    of every time are read out as one stack.  Incoherent decay shows
+    The units are evolved one after another, each once over the whole grid, so
+    one unit's lattice is alive at a time, and the target's blocks of every
+    time are read out as one stack.  Incoherent decay shows
     up in the identity column, which collects the input-independent drift of
     the target Bloch vector.
     """
     n = register.n_qubits + 1
     t_grid = _grid_1d(t_grid, "t_grid")
-    k0, k1 = input_kets(register, input_qubit)
+    kets = input_kets(register, input_qubit)
     qubit_mask(n, target_qubit)  # rejects an out-of-range target before anything is integrated
-    units = [np.outer(a, b.conj()) for a, b in ((k0, k0), (k1, k1), (k0, k1))]
     R = np.zeros((2, 2, 2, 2, t_grid.size), dtype=complex)  # R[a, b, i, j, k], as `flux_readout` reads it
-    for k, (rho00, rho11, coherence) in enumerate(zip(*(_evolve(u, spec, n, t_grid) for u in units))):
-        for a, rho in ((0, rho00), (1, rho11)):
-            R[a, a, ..., k] = _partial_trace(DensityMatrix(n, rho).entries, n, target_qubit)
-        R[0, 1, ..., k] = _partial_trace(coherence, n, target_qubit)
+    for a, b in ((0, 0), (1, 1), (0, 1)):  # one unit after another, so one lattice is alive at a time
+        unit = np.outer(kets[a], kets[b].conj())
+        for k, rho in enumerate(_evolve(unit, spec, n, t_grid)):
+            if a == b:
+                rho = DensityMatrix(n, rho).entries
+            R[a, b, ..., k] = _partial_trace(rho, n, target_qubit)
     return flux_readout(R, target_qubit, t_grid.tolist())
 
 

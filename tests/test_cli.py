@@ -262,17 +262,32 @@ def test_dense_sidecars_carry_eigensolve_cost(tmp_path):
             assert fh.readline().rstrip("\n") == columns
 
 
-def test_open_flux_sidecars_carry_reachable_coordinates(tmp_path):
+def test_open_flux_sidecars_carry_reachable_coordinates(tmp_path, monkeypatch):
     """Both shipped open-flux configs record the coordinate count of each unit's reachable set, in
-    the order |0><0|, |1><1|, |0><1|.  The sets do not depend on the grid, so one time suffices."""
+    the order |0><0|, |1><1|, |0><1|, and the products with S that the run took, the summed `nfev` of
+    its `lindblad.solve_ivp` calls.  The sets do not depend on the grid, so the grid 0, 0.1 suffices."""
+    import fluxion.lindblad
+
+    products = []
+    original = fluxion.lindblad.solve_ivp
+
+    def counted(*args):
+        result = original(*args)
+        products.append(result.nfev)
+        return result
+
+    monkeypatch.setattr(fluxion.lindblad, "solve_ivp", counted)
     common = {"experiment", "seed", "version", "wall_time_s", "created_utc", "time_units"}
-    for name, sizes in (("open-flux", "1,2,1"), ("open-flux-8q", "12870,12870,11440")):
+    cost = {"cost.reachable_coordinates", "cost.generator_products"}
+    for name, sizes, nfev in (("open-flux", "1,2,1", 12), ("open-flux-8q", "12870,12870,11440", 63)):
         config = load_config(str(CONFIGS / f"{name}.ini"), "open-flux")
-        config.parameters["t_max"] = config.parameters["t_min"]
+        config.parameters["t_max"] = "0.1"
+        products.clear()
         data, meta_path = run(config, out_dir=str(tmp_path / name))
         meta = _read_meta(meta_path)
-        assert set(meta) == common | {f"param.{k}" for k in config.parameters} | {"cost.reachable_coordinates"}
+        assert set(meta) == common | {f"param.{k}" for k in config.parameters} | cost
         assert meta["cost.reachable_coordinates"] == sizes
+        assert meta["cost.generator_products"] == str(sum(products)) == str(nfev)
 
 
 def test_tracer_counts_rows_and_open_grid_span():

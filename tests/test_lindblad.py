@@ -308,30 +308,125 @@ def test_unit_readout_matches_four_input_tomography(case, t, seed, data):
 
 @pytest.fixture
 def integrations(monkeypatch):
-    """The (start, end) span of every `lindblad.solve_ivp` call the test makes."""
+    """The ((start, end) span, products) of every `lindblad.solve_ivp` call the test makes."""
     calls = []
     original = lindblad.solve_ivp
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        calls.append((args[1], result.nfev))
+        return result
 
     monkeypatch.setattr(lindblad, "solve_ivp", counted)
     return calls
 
 
 def test_three_integrations_per_tomography(integrations):
+    """Each unit reads each new grid time once, by one `solve_ivp` call, from the last lattice state it holds.
+
+    The units |0><0| and |1><1| close onto sets with b = 3.92 and |0><1| onto one with b = 3.86: lattice
+    steps of h = 4/b = 1.0204 and 1.0363.  A whole step is 33 products, and a read at s = t/h - k takes
+    the terms of its step up to the least order certified at 4s that no earlier read of the step made.
+    """
     spec = LindbladSpec(0.2, 0.05, 0.1, SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(3, 1.0, 0.8)))
     register = RegisterState.computational(2, 0)
     open_flux_tomography(spec, 0.0, 1, register, 3)
-    assert integrations == []
-    open_flux_tomography(spec, 0.6, 1, register, 3)
-    assert integrations == [(0.0, 0.6)] * 3
-    # a grid integrates each nonzero interval once per unit, from the previous grid time
+    assert integrations == [((0.0, 0.0), 0)] * 3
+    integrations.clear()
+    open_flux_tomography(spec, 0.6, 1, register, 3)  # inside the first step: nothing to keep
+    assert integrations == [((0.0, 0.6), 26), ((0.0, 0.6), 26), ((0.0, 0.6), 25)]
+    assert vars(spec)["_lattices"] == {}
+    # a grid reads each new time once per unit, the units one after another; the reads of one step
+    # share its terms, so together they cost the read at the step's last time
     integrations.clear()
     fluxes = open_flux_trajectory(spec, [0.0, 0.3, 0.3, 0.6, 1.0], 1, register, 3)
     assert len(fluxes) == 5
-    assert integrations == [(0.0, 0.3)] * 3 + [(0.3, 0.6)] * 3 + [(0.6, 1.0)] * 3
+    spans = [(0.0, 0.0), (0.0, 0.3), (0.3, 0.6), (0.6, 1.0)]
+    assert integrations == list(zip(spans, (0, 19, 7, 7))) * 2 + list(zip(spans, (0, 19, 6, 8)))
+    # t = 3 is two whole steps and a read at s = 0.94 (0.89 for |0><1|); t = 5 resumes from there; t = 2.5 lies
+    # before the state kept, so it starts again from t = 0
+    bounds = [bound for _, _, bound in vars(spec)["_blocks"].values()]
+    assert bounds == [3.9200000000000004, 3.9200000000000004, 3.8600000000000003]
+    kept = [2 * lindblad.TAYLOR_STEP / bound for bound in bounds]
+    for t, expected in ((3.0, [((0.0, 3.0), 98)] * 2 + [((0.0, 3.0), 97)]),
+                        (5.0, [((kept[0], 5.0), 97)] * 2 + [((kept[2], 5.0), 96)]),
+                        (2.5, [((0.0, 2.5), 89)] * 2 + [((0.0, 2.5), 88)])):
+        integrations.clear()
+        open_flux_tomography(spec, t, 1, register, 3)
+        assert integrations == expected
+    assert sorted(k for _, k, _ in vars(spec)["_lattices"].values()) == [2, 2, 2]
+
+
+def thermal_chain_spec():
+    """A fresh spec on a damped, dephased, thermal 3-qubit XY chain, with lattice steps of 1.0204 and 1.0363."""
+    return LindbladSpec(0.2, 0.05, 0.1, SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(3, 1.0, 0.8)))
+
+
+def test_results_do_not_depend_on_call_history(integrations):
+    """Calls on one spec at shuffled times, lattice points among them, give bitwise what each gives on a fresh spec."""
+    register = RegisterState.computational(2, 0)
+    rho0 = DensityMatrix.from_state(RegisterState(3, np.arange(1.0, 9.0) / np.sqrt(204.0)))
+    step = lindblad.TAYLOR_STEP / 3.9200000000000004
+    times = [0.0, 0.6, step, 2 * step, 2.5, 3.0, 4.9, 5.0, 7.3, 2 * step + 1e-9]
+    shared = thermal_chain_spec()
+    for t in np.random.default_rng(33).permutation(times * 2):
+        fm = open_flux_tomography(shared, t, 1, register, 3)
+        assert np.array_equal(fm.entries, open_flux_tomography(thermal_chain_spec(), t, 1, register, 3).entries)
+        rho = evolve_density(rho0, shared, t)
+        assert np.array_equal(rho.entries, evolve_density(rho0, thermal_chain_spec(), t).entries)
+    grid = [2.5, 3.0, 3.0, 7.3]
+    for got, fresh in zip(open_flux_trajectory(shared, grid, 1, register, 3),
+                          open_flux_trajectory(thermal_chain_spec(), grid, 1, register, 3)):
+        assert np.array_equal(got.entries, fresh.entries)
+    assert sum(span[0] > 0 for span, _ in integrations) > 20  # calls that resumed from a kept state
+    # the kept states own their data: no view keeps a step's 34-row term array alive on the spec
+    assert all(y.base is None for _, _, y in vars(shared)["_lattices"].values())
+
+
+def test_registers_with_one_support_keep_their_own_lattice_states():
+    """Two states with the same support but other amplitudes do not resume from each other's lattice state."""
+    amplitudes = [np.arange(1.0, 9.0), np.arange(8.0, 0.0, -1.0) * 1j]
+    first, second = (DensityMatrix.from_state(RegisterState(3, v / np.linalg.norm(v))) for v in amplitudes)
+    shared = thermal_chain_spec()
+    evolve_density(first, shared, 5.0)
+    got = evolve_density(second, shared, 6.0)
+    assert np.array_equal(got.entries, evolve_density(second, thermal_chain_spec(), 6.0).entries)
+    assert sorted(k for _, k, _ in vars(shared)["_lattices"].values()) == [4, 5]
+
+
+def test_writes_into_a_returned_state_do_not_reach_a_later_call(monkeypatch):
+    """The drifting wrapper below writes into the state `solve_ivp` returns, past two lattice steps of
+    26.7; the lattice state the spec keeps is a copy it never sees."""
+    spec = LindbladSpec(0.1, 0.05)
+    original = lindblad.solve_ivp
+
+    def drifting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        result.y[:] += np.array([0, 1e-6, -1e-6, 0])
+        return result
+
+    monkeypatch.setattr(lindblad, "solve_ivp", drifting)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve_density(plus_density(), spec, 60.0)
+    assert [k for _, k, _ in vars(spec)["_lattices"].values()] == [2]
+    monkeypatch.setattr(lindblad, "solve_ivp", original)
+    expected = evolve_density(plus_density(), LindbladSpec(0.1, 0.05), 70.0).entries
+    assert np.array_equal(evolve_density(plus_density(), spec, 70.0).entries, expected)
+
+
+def test_another_reachable_set_never_resumes_a_kept_state(monkeypatch):
+    """A unit whose `_reachable` set changes starts again from t = 0, on the set it is given."""
+    register = RegisterState.computational(2, 0)
+    shared = thermal_chain_spec()
+    open_flux_tomography(shared, 5.0, 1, register, 3)
+    S = full_generator(shared, 3)
+
+    def full_space(spec, n, support):
+        return np.arange(S.shape[0]), S, float(abs(S).sum(axis=1).max())
+
+    monkeypatch.setattr(lindblad, "_reachable", full_space)
+    got = open_flux_tomography(shared, 6.0, 1, register, 3)
+    assert np.array_equal(got.entries, open_flux_tomography(thermal_chain_spec(), 6.0, 1, register, 3).entries)
 
 
 def test_evolved_state_hermiticity_checked_before_symmetrizing(monkeypatch):
@@ -367,8 +462,8 @@ def kernel_calls(monkeypatch):
 def test_taylor_steps_fixed_by_norm_bound(monkeypatch, kernel_calls):
     """One qubit at damping 1 and dephasing 1/4: every row of S sums to b = 1 in modulus.
 
-    t = 10 takes ceil(10 / 4) = 3 steps of bh = 10/3, and the least order m with
-    (bh)^{m+1}/(m+1)! e^{bh} <= 1e-16 is 30: 90 products, whatever the state.
+    The lattice steps are h = 4/b = 4, so t = 10 is two whole steps of order 33 and a read at
+    s = 1/2, whose least order m with 2^{m+1}/(m+1)! e^2 <= 1e-16 is 24: 90 products, whatever the state.
     """
     products = []
     original = lindblad.solve_ivp
@@ -387,7 +482,18 @@ def test_taylor_steps_fixed_by_norm_bound(monkeypatch, kernel_calls):
 
     kernel_calls.clear()
     S = full_generator(spec, 1)
-    assert original(S, (0.0, 10.0), np.ones(4, complex), 1.0).nfev == kernel_calls[4] == 90
+    assert original(S, (0.0, 10.0), lindblad.Lattice(0, np.ones(4, complex)), 1.0).nfev == kernel_calls[4] == 90
+
+
+def test_grid_inside_lattice_steps_costs_no_extra_product(integrations, kernel_calls):
+    """b = 1 on the grid 0, 0.1, ..., 10 costs the 90 products of one read at t = 10: the 33 terms of
+    each whole step and the 24 of the last, made as the grid first needs them and read at every time."""
+    spec = LindbladSpec(1.0, 0.25)
+    ts = np.linspace(0.0, 10.0, 101)
+    values = expectation_trajectory(spec, PauliString.from_label(1, "X1"), plus_density(), ts)
+    assert sum(nfev for _, nfev in integrations) == kernel_calls[4] == 90
+    assert [span for span, _ in integrations] == list(zip([0.0, *ts[:-1]], ts))
+    assert np.abs(values - np.exp(-(1.0 / 2 + 2 * 0.25) * ts)).max() < 1e-14
 
 
 def random_csr_arrays(rng, d, index):
@@ -423,38 +529,49 @@ def test_csr_kernel_adds_the_product_into_its_buffer(index):
         assert np.abs(out - (start + S @ x)).max() <= 1e-13
 
 
-def forward_taylor(S, t, y, steps, order):
-    """The same steps and order as `solve_ivp`, summed term by term with `S @`."""
-    h = t / steps
-    for _ in range(steps):
-        term = y
-        for k in range(1, order + 1):
-            term = S @ term * (h / k)
-            y = y + term
-    return y
+def test_lattice_reads_match_expm():
+    """On reachable blocks of damped, dephased, thermal XY chains: reads at s = 0, 0.3 and 1 - 1e-12 of
+    the first three lattice steps against `expm`, relative to the state, at 1e-14.
 
-
-def test_horner_steps_match_forward_taylor_sum():
-    """On reachable blocks of damped, dephased, thermal XY chains, at bh up to TAYLOR_STEP.
-
-    The two sums round differently: relative to the state they read up to 2.4e-15 apart
-    here (the 2-coordinate block at bh = 4), and each lies within 2.1e-15 of `expm` on
-    random one-step cases, so 1e-14 bounds their rounding, not a truncation.  At
-    bh = TAYLOR_STEP the order is 33, the largest `solve_ivp` takes.
+    At s = 1 - 1e-12 the read takes the order 33 of a whole step; at s = 0 it is the lattice state, with
+    no product for the step it starts.
     """
-    S = full_generator(LindbladSpec(1.0, 0.25), 1)
-    assert lindblad.solve_ivp(S, (0.0, lindblad.TAYLOR_STEP), np.ones(4, complex), 1.0).nfev == 33
+    assert lindblad.TAYLOR_ORDER == 33
     rng = np.random.default_rng(30)
     for n in (1, 3, 4):
         h = SpinHamiltonian.xy_chain(CouplingProfile(n, rng.uniform(-1.5, 1.5, n - 1))) if n > 1 else None
         spec = LindbladSpec(0.3, 0.1, 0.2, h)
         _, S, bound = lindblad._reachable(spec, n, np.array([1 << n | 1]))  # the unit |0...01><0...01|
-        for t in (0.3, lindblad.TAYLOR_STEP / bound, 10.0):
-            y = rng.normal(size=S.shape[0]) + 1j * rng.normal(size=S.shape[0])
-            result = lindblad.solve_ivp(S, (0.0, t), y, bound)
-            steps = max(1, math.ceil(bound * t / lindblad.TAYLOR_STEP))
-            expected = forward_taylor(S, t, y, steps, result.nfev // steps)
-            assert np.abs(result.y - expected).max() <= 1e-14 * np.abs(y).max()
+        step = lindblad.TAYLOR_STEP / bound
+        y = rng.normal(size=S.shape[0]) + 1j * rng.normal(size=S.shape[0])
+        lattice = lindblad.Lattice(0, y)
+        worst, products = 0.0, []
+        for k in range(3):
+            for s in (0.0, 0.3, 1 - 1e-12):
+                t = (k + s) * step
+                result = lindblad.solve_ivp(S, (0.0, t), lattice, bound)
+                products.append(result.nfev)
+                expected = expm(S.toarray() * t) @ y
+                worst = max(worst, np.abs(result.y - expected).max() / np.abs(y).max())
+            assert worst <= 1e-14  # 6.0e-16 at most here
+        assert products == [0, 19, 14] * 3  # order 19 at s = 0.3, then the rest of the step's 33
+
+
+def test_reads_take_the_least_certified_order():
+    """On the shift S e_j = e_{j+1} (b = 1, h = 4) the terms (hS)^j e_0 = 4^j e_j are apart, so a read's
+    last nonzero coordinate is its order: the least m with (4s)^{m+1}/(m+1)! e^{4s} <= 1e-16, and 33 for
+    a whole step, after which the read at s = 0 is that step's sum, one coordinate per term."""
+    d = 40
+    S = sparse.csr_array((np.ones(d - 1), (np.arange(1, d), np.arange(d - 1))), shape=(d, d))
+    for s, order in ((0.0, 0), (0.3, 19), (0.5, 24), (1 - 1e-12, 33)):
+        y = lindblad.solve_ivp(S, (0.0, 4 * s), lindblad.Lattice(0, np.eye(d)[0]), 1.0).y
+        assert np.flatnonzero(y).max() == order
+        expected = [(4 * s) ** j / math.factorial(j) for j in range(order + 1)]
+        np.testing.assert_allclose(y[: order + 1], expected, rtol=1e-14, atol=0)
+    lattice = lindblad.Lattice(0, np.eye(d)[0])
+    result = lindblad.solve_ivp(S, (0.0, 4.0), lattice, 1.0)
+    assert result.nfev == 33 and lattice.k == 1
+    assert np.flatnonzero(result.y).max() == 33
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -670,9 +787,10 @@ def test_reachable_sets_fix_the_products(monkeypatch, kernel_calls):
 
     The |0><0| unit of a |0...0> register is a column of S with no stored
     entry: one coordinate and no product.  |1><1| reaches the 25 one-excitation
-    |j><k| and |0...0><0...0|, with b = 4.3: 6 steps of order 31.  |0><1|
-    reaches the 5 |0...0><j|, with b = 2.15: 3 steps of order 31.  The full
-    space has 1024 coordinates and b = 8.75, 363 products per unit.
+    |j><k| and |0...0><0...0|, with b = 4.3: 5 whole lattice steps of order 33
+    and a read at s = 0.375 of order 21.  |0><1| reaches the 5 |0...0><j|, with
+    b = 2.15: 2 whole steps and a read at s = 0.6875 of order 28.  The full
+    space has 1024 coordinates and b = 8.75, 362 products per unit.
     """
     sizes = []
     original = lindblad._reachable
@@ -686,7 +804,7 @@ def test_reachable_sets_fix_the_products(monkeypatch, kernel_calls):
     spec = LindbladSpec(0.1, 0.05, 0.0, SpinHamiltonian.xy_chain(CouplingProfile.uniform_eta(5, 1.0, 1.0)))
     open_flux_tomography(spec, 5.0, 1, RegisterState.computational(4, 0), 5)
     assert sizes == [1, 26, 5]
-    assert kernel_calls == {26: 186, 5: 93}
+    assert kernel_calls == {26: 5 * 33 + 21, 5: 2 * 33 + 28}
 
 
 def test_units_closing_onto_one_set_share_its_block(monkeypatch, kernel_calls):
@@ -694,7 +812,9 @@ def test_units_closing_onto_one_set_share_its_block(monkeypatch, kernel_calls):
     252 coordinates of Delta = 0, and |0><1| onto the 210 of Delta = -1.
 
     |1><1| closes onto the set |0><0| closed first and gets the very same entry; the products are
-    those of integrating each unit on its own set.
+    those of integrating each unit on its own set: at b = 8.7, 10 whole lattice steps and a read at
+    s = 0.875 of order 31 for each diagonal unit, and at b = 8.85, 11 steps and a read at s = 0.0625
+    of order 12 for |0><1|.
     """
     entries = []
     original = lindblad._reachable
@@ -709,7 +829,7 @@ def test_units_closing_onto_one_set_share_its_block(monkeypatch, kernel_calls):
     (c00, S00, _), (c11, S11, _), (c01, _, _) = entries
     assert (c00.size, c11.size, c01.size) == (252, 252, 210)
     assert S11 is S00
-    assert kernel_calls == {252: 2 * 363, 210: 384}
+    assert kernel_calls == {252: 2 * (10 * 33 + 31), 210: 11 * 33 + 12}
 
 
 
